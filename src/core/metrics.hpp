@@ -35,7 +35,10 @@ struct RunMetrics {
   std::uint64_t reclassifications = 0;
 
   /// Work stealing (LockingPolicy::kStealAffinity): steal operations and
-  /// total jobs migrated by them (jobs >= steals when batches > 1).
+  /// the job migrations they made (>= steals when batches > 1). A thief
+  /// queues the rest of its batch, where another thief can take a job
+  /// again, so stolen_jobs counts a job once per theft and can exceed the
+  /// number of distinct jobs stolen, even the number of packets arrived.
   std::uint64_t steals = 0;
   std::uint64_t stolen_jobs = 0;
   /// Measured reload cost charged to stolen jobs inside the window (µs):

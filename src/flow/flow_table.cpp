@@ -122,7 +122,7 @@ AdmitResult FlowTable::admit(std::uint32_t key, bool shed_pressure) {
 
   // Probe for the key and remember the emptiest/victim candidates as we go.
   int empty_at = -1;
-  std::size_t window[8];
+  std::size_t window[8] = {};
   for (unsigned i = 0; i < probe_window_; ++i) {
     const std::size_t idx = (base + i) & mask;
     window[i] = idx;

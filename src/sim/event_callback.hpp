@@ -98,18 +98,15 @@ class EventCallback {
                 !std::is_same_v<std::decay_t<F>, EventCallback> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventCallback(F&& f) {  // NOLINT(google-explicit-constructor): callable sink
-    using Fn = std::decay_t<F>;
-    static_assert(std::is_move_constructible_v<Fn>,
-                  "event callbacks must be move-constructible");
-    if constexpr (fitsInline<Fn>()) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &inlineOps<Fn>;
-    } else {
-      void* mem = cb_detail::poolAlloc(sizeof(Fn));
-      ::new (mem) Fn(std::forward<F>(f));
-      *reinterpret_cast<void**>(buf_) = mem;
-      ops_ = &heapOps<Fn>;
-    }
+    construct(std::forward<F>(f));
+  }
+
+  /// Replaces the held callable with `f`, constructed in place. If that
+  /// construction throws, *this is left empty.
+  template <typename F>
+  void emplace(F&& f) {
+    reset();
+    construct(std::forward<F>(f));
   }
 
   EventCallback(EventCallback&& other) noexcept : ops_(other.ops_) {
@@ -161,11 +158,28 @@ class EventCallback {
     void (*destroy)(unsigned char* buf) noexcept;
     // Fast-path flags, checked with a (well-predicted) branch so the common
     // trivially-copyable captures skip the indirect relocate/destroy calls
-    // entirely. The simulator moves callbacks on every bucket swap-remove,
-    // so this is hot.
+    // entirely. The simulator moves every callback out of its slot when the
+    // event is popped, so this is hot.
     bool trivial_relocate;  // relocate == memcpy of the inline buffer
     bool trivial_destroy;   // destroy is a no-op
   };
+
+  // Constructs `f` into an empty *this; ops_ is set only once it succeeded.
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    static_assert(std::is_move_constructible_v<Fn>,
+                  "event callbacks must be move-constructible");
+    if constexpr (fitsInline<Fn>()) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      ops_ = &inlineOps<Fn>;
+    } else {
+      void* mem = cb_detail::poolAlloc(sizeof(Fn));
+      ::new (mem) Fn(std::forward<F>(f));
+      *reinterpret_cast<void**>(buf_) = mem;
+      ops_ = &heapOps<Fn>;
+    }
+  }
 
   // Relocates `other`'s callable into *this (ops_ already copied).
   void stealFrom(EventCallback& other) noexcept {

@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 namespace affinity {
@@ -9,21 +10,18 @@ int Simulator::minQualifying(const Bucket& b) const noexcept {
   int best = -1;
   double best_at = std::numeric_limits<double>::infinity();
   std::uint64_t best_seq = ~std::uint64_t{0};
-  // SoA scan: three dense arrays, 24 bytes per entry. The callbacks (a
-  // cache line each) and the slot ids are never touched here.
-  const double* at = b.at.data();
-  const std::uint64_t* seq = b.seq.data();
-  const std::uint64_t* assigned = b.assigned.data();
+  const Key* keys = b.data();
   const std::size_t n = b.size();
   for (std::size_t i = 0; i < n; ++i) {
-    if (assigned[i] != cursor_) continue;  // parked for a later pass of the ring
+    const Key& e = keys[i];
+    if (e.assigned != cursor_) continue;  // parked for a later pass of the ring
     // Branchless best-update: which of two random timestamps is smaller is
     // a coin flip, so a branch here mispredicts ~half the time.
     const bool better =
-        (at[i] < best_at) | ((at[i] == best_at) & (seq[i] < best_seq));
+        (e.at < best_at) | ((e.at == best_at) & (e.seq < best_seq));
     best = better ? static_cast<int>(i) : best;
-    best_at = better ? at[i] : best_at;
-    best_seq = better ? seq[i] : best_seq;
+    best_at = better ? e.at : best_at;
+    best_seq = better ? e.seq : best_seq;
   }
   return best;
 }
@@ -31,87 +29,28 @@ int Simulator::minQualifying(const Bucket& b) const noexcept {
 std::uint64_t Simulator::minAssigned() const noexcept {
   std::uint64_t mn = ~std::uint64_t{0};
   for (const Bucket& b : buckets_)
-    for (std::uint64_t a : b.assigned) mn = std::min(mn, a);
+    for (const Key& e : b) mn = std::min(mn, e.assigned);
   return mn;
-}
-
-void Simulator::flushAdmissions() {
-  const std::size_t n = staged_keys_.size();
-  if (n == 0) return;
-  if (n == 1) {
-    // Common interleaved schedule/step pattern: skip the grouping machinery.
-    const StagedKey& k = staged_keys_[0];
-    Bucket& b = buckets_[k.assigned & mask_];
-    b.growFor(1);
-    b.appendReserved(k.at, k.seq, k.assigned, k.slot, std::move(staged_fns_[0]));
-    slots_[k.slot] = Slot{k.seq, static_cast<std::uint32_t>(k.assigned & mask_),
-                          static_cast<std::uint32_t>(b.size() - 1)};
-  } else {
-    // Group the cohort by target bucket so each bucket pays one capacity
-    // check. Sorting a u32 index array of <= kAdmitBatch entries is cheap;
-    // intra-bucket order is irrelevant (dequeue order is exact on
-    // (at, seq)), but (bucket, index) makes the sort deterministic.
-    admit_order_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) admit_order_[i] = static_cast<std::uint32_t>(i);
-    std::sort(admit_order_.begin(), admit_order_.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                const std::uint64_t ba = staged_keys_[a].assigned & mask_;
-                const std::uint64_t bb = staged_keys_[b].assigned & mask_;
-                return ba != bb ? ba < bb : a < b;
-              });
-    // Pass 1: reserve every target bucket up front. A bad_alloc here leaves
-    // the calendar untouched and the cohort still staged.
-    for (std::size_t i = 0; i < n;) {
-      const std::uint64_t bucket = staged_keys_[admit_order_[i]].assigned & mask_;
-      std::size_t j = i;
-      while (j < n && (staged_keys_[admit_order_[j]].assigned & mask_) == bucket) ++j;
-      buckets_[bucket].growFor(j - i);
-      i = j;
-    }
-    // Pass 2: append (nothrow — capacity reserved, callback moves are
-    // noexcept) and point the slots at their admitted positions.
-    for (std::size_t i = 0; i < n; ++i) {
-      const StagedKey& k = staged_keys_[admit_order_[i]];
-      Bucket& b = buckets_[k.assigned & mask_];
-      b.appendReserved(k.at, k.seq, k.assigned, k.slot,
-                       std::move(staged_fns_[admit_order_[i]]));
-      slots_[k.slot] = Slot{k.seq, static_cast<std::uint32_t>(k.assigned & mask_),
-                            static_cast<std::uint32_t>(b.size() - 1)};
-    }
-  }
-  staged_keys_.clear();
-  staged_fns_.clear();
-  if (live_ > 4 * (mask_ + 1)) rebuild();
 }
 
 bool Simulator::cancel(EventHandle h) noexcept {
   if (!h.valid()) return false;
   if (h.slot_ >= slots_.size()) return false;
-  const Slot s = slots_[h.slot_];
+  Slot& s = slots_[h.slot_];
   if (s.seq != h.seq_) return false;  // already ran, cancelled, or slot reused
-  if (s.bucket == kStagedBucket) {
-    // Still in the admission staging buffer: swap-remove it there.
-    const auto last = static_cast<std::uint32_t>(staged_keys_.size() - 1);
-    if (s.index != last) {
-      staged_keys_[s.index] = staged_keys_[last];
-      staged_fns_[s.index] = std::move(staged_fns_[last]);
-      slots_[staged_keys_[s.index].slot].index = s.index;
-    }
-    staged_keys_.pop_back();
-    staged_fns_.pop_back();
-  } else {
-    removeEntry(buckets_[s.bucket], s.bucket, s.index);
-  }
+  // Destroyed on return, once the calendar is consistent again.
+  const EventCallback dead = std::move(s.fn);
+  removeKey(s.bucket, s.index);
   freeSlot(h.slot_);
   --live_;
   return true;
 }
 
-// Shared rotation handler for the two dequeue scans: a full pass of the ring
-// found no event in the current year, i.e. the next event is more than
-// nbuckets windows ahead. Jump the cursor straight to its window (O(nbuckets
-// + live)). If that keeps happening — or the ring is badly oversized for the
-// population — the width/size are mistuned, so pay for a full retune.
+// A full pass of the ring found no event in the current year, i.e. the next
+// event is more than nbuckets windows ahead. Jump the cursor straight to its
+// window (O(nbuckets + live)). If that keeps happening — or the ring is badly
+// oversized for the population — the width/size are mistuned, so pay for a
+// full retune.
 void Simulator::onEmptyRotation() {
   if ((live_ < (mask_ + 1) / 4 && mask_ + 1 > kMinBuckets) || ++rotations_ >= 4) {
     rebuild();
@@ -120,25 +59,19 @@ void Simulator::onEmptyRotation() {
   }
 }
 
-bool Simulator::popNext(SimTime& at, EventCallback& fn) {
-  flushAdmissions();
+bool Simulator::popNext(SimTime until, SimTime& at, EventCallback& fn) {
   if (live_ == 0) return false;
   std::size_t scanned = 0;
   for (;;) {
-    Bucket& b = buckets_[cursor_ & mask_];
-    // Overlap the callback-array fetch with the key scan: if this bucket
-    // has the next event, its callback is about to be moved out.
-    __builtin_prefetch(b.fns.data());
-    const int best = minQualifying(b);
+    const auto bucket = static_cast<std::uint32_t>(cursor_ & mask_);
+    const int best = minQualifying(buckets_[bucket]);
     if (best >= 0) {
-      const auto i = static_cast<std::size_t>(best);
-      at = b.at[i];
-      // Move the callback out before unlinking: the callback may re-enter
-      // schedule(), which can reuse the slot and rebuild the calendar.
-      fn = std::move(b.fns[i]);
-      freeSlot(b.slot[i]);
-      removeEntry(b, static_cast<std::uint32_t>(cursor_ & mask_),
-                  static_cast<std::uint32_t>(best));
+      const Key e = buckets_[bucket][static_cast<std::size_t>(best)];
+      if (e.at > until) return false;
+      at = e.at;
+      fn = std::move(slots_[e.slot].fn);
+      freeSlot(e.slot);
+      removeKey(bucket, static_cast<std::uint32_t>(best));
       --live_;
       return true;
     }
@@ -150,29 +83,11 @@ bool Simulator::popNext(SimTime& at, EventCallback& fn) {
   }
 }
 
-bool Simulator::peekTime(SimTime& at) {
-  flushAdmissions();
-  if (live_ == 0) return false;
-  std::size_t scanned = 0;
-  for (;;) {
-    const Bucket& b = buckets_[cursor_ & mask_];
-    const int best = minQualifying(b);
-    if (best >= 0) {
-      at = b.at[static_cast<std::size_t>(best)];
-      return true;
-    }
-    ++cursor_;
-    if (++scanned > mask_) {
-      onEmptyRotation();
-      scanned = 0;
-    }
-  }
-}
-
-bool Simulator::step() {
+bool Simulator::runNext(SimTime until) {
+  // One callback per call: it is destroyed right after it runs.
   SimTime at;
   EventCallback fn;
-  if (!popNext(at, fn)) return false;
+  if (!popNext(until, at, fn)) return false;
   AFF_DCHECK(at >= now_);
   now_ = at;
   ++executed_;
@@ -180,13 +95,11 @@ bool Simulator::step() {
   return true;
 }
 
+bool Simulator::step() { return runNext(std::numeric_limits<SimTime>::infinity()); }
+
 std::uint64_t Simulator::runUntil(SimTime until) {
   std::uint64_t ran = 0;
-  SimTime at;
-  while (peekTime(at) && at <= until) {
-    step();
-    ++ran;
-  }
+  while (runNext(until)) ++ran;
   if (now_ < until) now_ = until;
   return ran;
 }
@@ -208,53 +121,35 @@ void Simulator::initBuckets(std::size_t nbuckets, double width) {
 }
 
 void Simulator::rebuild() {
-  AFF_DCHECK(staged_keys_.empty());
-  std::vector<StagedKey> keys;
-  std::vector<EventCallback> fns;
+  std::vector<Key> keys;
   keys.reserve(live_);
-  fns.reserve(live_);
-  for (Bucket& b : buckets_) {
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      keys.push_back(StagedKey{b.at[i], b.seq[i], b.assigned[i], b.slot[i]});
-      fns.push_back(std::move(b.fns[i]));
-    }
-  }
+  for (const Bucket& b : buckets_) keys.insert(keys.end(), b.begin(), b.end());
   // Width: ~2 events per window on average, so a dequeue scans O(1) entries
   // and an empty-window rotation is rare. Any value is *correct* (ordering
   // is exact on (at, seq)); this only tunes scan lengths.
   double w = width_;
   if (keys.size() > 1) {
-    double lo = keys.front().at;
-    double hi = lo;
-    for (const StagedKey& e : keys) {
-      lo = std::min(lo, e.at);
-      hi = std::max(hi, e.at);
-    }
-    if (hi > lo) w = (hi - lo) * 2.0 / static_cast<double>(keys.size());
+    const auto [lo, hi] = std::minmax_element(
+        keys.begin(), keys.end(), [](const Key& a, const Key& b) { return a.at < b.at; });
+    if (hi->at > lo->at) w = (hi->at - lo->at) * 2.0 / static_cast<double>(keys.size());
   }
   if (!(w > 1e-9)) w = 1e-9;  // all-simultaneous events: keep windows finite
-  // ~2 events per bucket: a handful of 24-byte scan entries share cache
-  // lines, and half the bucket headers means half the header-array
-  // footprint on large calendars.
+  // ~2 events per bucket: two 32-byte keys share a cache line, and half the
+  // bucket headers means half the header-array footprint on large calendars.
   const std::size_t nb = std::bit_ceil(std::max(keys.size() / 2, kMinBuckets));
   initBuckets(nb, w);
   if (keys.empty()) {
     cursor_ = windowOf(now_);
     return;
   }
-  std::uint64_t first = ~std::uint64_t{0};
-  for (StagedKey& e : keys) {
+  cursor_ = ~std::uint64_t{0};
+  for (Key& e : keys) {
     e.assigned = windowOf(e.at);
-    first = std::min(first, e.assigned);
-  }
-  cursor_ = first;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    Bucket& b = buckets_[keys[i].assigned & mask_];
-    b.growFor(1);
-    b.appendReserved(keys[i].at, keys[i].seq, keys[i].assigned, keys[i].slot,
-                     std::move(fns[i]));
-    Slot& s = slots_[keys[i].slot];
-    s.bucket = static_cast<std::uint32_t>(keys[i].assigned & mask_);
+    cursor_ = std::min(cursor_, e.assigned);
+    Bucket& b = buckets_[e.assigned & mask_];
+    b.push_back(e);
+    Slot& s = slots_[e.slot];
+    s.bucket = static_cast<std::uint32_t>(e.assigned & mask_);
     s.index = static_cast<std::uint32_t>(b.size() - 1);
   }
 }

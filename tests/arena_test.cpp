@@ -30,16 +30,20 @@ namespace {
 std::atomic<std::uint64_t> g_global_news{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// Out of line, all of them: inlined into a std::allocator call site, a
+// malloc'd block reaching operator delete (or a `new` block reaching free)
+// reads to gcc as a mismatched pair (-Wmismatched-new-delete), though
+// malloc/free is exactly the pairing here.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_global_news.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n != 0 ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t n) { return ::operator new(n); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace affinity {
 namespace {

@@ -5,6 +5,7 @@
 // exporting both metrics and a virtual-time trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
@@ -487,6 +488,75 @@ TEST(Ledger, CorruptFilePreservedAndRestarted) {
   EXPECT_EQ(readFile(path + ".corrupt"), "this is not json");
   fs::remove(path);
   fs::remove(path + ".corrupt");
+}
+
+TEST(Ledger, RowsReadBackAsWritten) {
+  const std::string path = tempPath("obs_test_ledger_read.json");
+  fs::remove(path);
+  ASSERT_TRUE(appendLedgerRow(
+      path, R"({"date": "2026-08-06", "mode": "fast", "host_cores": 4, "eps": 1.5e6, "on": true})"));
+  ASSERT_TRUE(appendLedgerRow(path, R"({"date": "2026-08-07", "eps": -2})"));
+  const std::vector<LedgerRow> rows = readLedgerRows(path);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].strings.at("mode"), "fast");
+  EXPECT_EQ(rows[0].numbers.at("host_cores"), 4.0);
+  EXPECT_EQ(rows[0].numbers.at("eps"), 1.5e6);
+  EXPECT_EQ(rows[0].numbers.at("on"), 1.0);
+  EXPECT_EQ(rows[1].strings.at("date"), "2026-08-07");
+  EXPECT_EQ(rows[1].numbers.at("eps"), -2.0);
+  EXPECT_TRUE(readLedgerRows(tempPath("obs_test_no_such_ledger.json")).empty());
+  fs::remove(path);
+}
+
+TEST(Ledger, CommittedRowsFlagTheKernelRestructureDrop) {
+  // The committed trajectory: kernel_churn_speedup read 4.42 / 4.32 on
+  // 2026-08-06 and 1.77 on the first 2026-08-08 row, after the event
+  // kernel's SoA/staged-admission restructure. The check must name it.
+  const std::string root = AFF_SOURCE_ROOT;
+  const std::vector<LedgerRow> before = readLedgerRows(root + "/BENCH_2026-08-06.json");
+  const std::vector<LedgerRow> after = readLedgerRows(root + "/BENCH_2026-08-08.json");
+  ASSERT_EQ(before.size(), 2u);
+  ASSERT_FALSE(after.empty());
+  const std::vector<Regression> found = findRegressions(before, after.front());
+  const auto churn = std::find_if(found.begin(), found.end(), [](const Regression& r) {
+    return r.key == "kernel_churn_speedup";
+  });
+  ASSERT_NE(churn, found.end());
+  EXPECT_DOUBLE_EQ(churn->value, 1.771);
+  EXPECT_NEAR(churn->baseline, (4.416 + 4.323) / 2.0, 1e-9);
+  EXPECT_EQ(formatRegression(*churn).rfind("REGRESSION: kernel_churn_speedup 1.771 vs 4.3", 0),
+            0u)
+      << formatRegression(*churn);
+}
+
+TEST(Ledger, NoiseSizedWiggleIsNotFlagged) {
+  const auto row = [](double speedup, double pkts, const char* mode, int cores) {
+    LedgerRow r;
+    r.strings["mode"] = mode;
+    r.numbers["host_cores"] = cores;
+    r.numbers["kernel_churn_speedup"] = speedup;
+    r.numbers["sim_pkts_per_wall_s"] = pkts;
+    r.numbers["capacity_ips_pkts_per_s"] = pkts;  // not a watched key
+    return r;
+  };
+  const std::vector<LedgerRow> history = {row(4.0, 1e6, "fast", 4), row(4.1, 1.02e6, "fast", 4),
+                                          row(3.9, 0.98e6, "fast", 4)};
+  // ±20 % around the baseline: run-to-run noise on the ledger host.
+  EXPECT_TRUE(findRegressions(history, row(4.0 * 0.8, 0.8e6, "fast", 4)).empty());
+  EXPECT_TRUE(findRegressions(history, row(4.0 * 1.2, 1.2e6, "fast", 4)).empty());
+  // A drop past the band is flagged, per key.
+  const std::vector<Regression> found = findRegressions(history, row(2.0, 0.5e6, "fast", 4));
+  ASSERT_EQ(found.size(), 2u);
+  EXPECT_EQ(found[0].key, "kernel_churn_speedup");
+  EXPECT_DOUBLE_EQ(found[0].baseline, 4.0);
+  EXPECT_EQ(found[1].key, "sim_pkts_per_wall_s");
+  // Rows from another mode or host size are not a baseline.
+  EXPECT_TRUE(findRegressions(history, row(2.0, 0.5e6, "full", 4)).empty());
+  EXPECT_TRUE(findRegressions(history, row(2.0, 0.5e6, "fast", 1)).empty());
+  // A noisy history widens the band: 3 × its ~33 % relative MAD.
+  const std::vector<LedgerRow> noisy = {row(2.0, 1e6, "fast", 4), row(6.0, 1e6, "fast", 4),
+                                        row(3.0, 1e6, "fast", 4)};
+  EXPECT_TRUE(findRegressions(noisy, row(1.5, 1e6, "fast", 4)).empty());
 }
 
 }  // namespace

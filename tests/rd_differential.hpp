@@ -100,7 +100,9 @@ inline void expectScenarioAgrees(const ConfigFile& cfg, const std::string& label
   EXPECT_NEAR(rd.l1d, sim.l1d, kRdDiffTolAbs) << label << " L1D";
   EXPECT_NEAR(rd.l2, sim.l2, kRdDiffTolAbs) << label << " L2";
   EXPECT_EQ(rd.has_llc, sim.has_llc) << label;
-  if (sim.has_llc) EXPECT_NEAR(rd.llc, sim.llc, kRdDiffTolAbs) << label << " LLC";
+  if (sim.has_llc) {
+    EXPECT_NEAR(rd.llc, sim.llc, kRdDiffTolAbs) << label << " LLC";
+  }
 }
 
 /// Runs the battery over every scenarios/*.ini with a coverage assertion

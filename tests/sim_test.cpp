@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <functional>
 #include <vector>
 
@@ -232,17 +233,18 @@ TEST(Simulator, CancellationChurnStress) {
   EXPECT_LT(cancelled, recs.size());
 }
 
-// --- batched-admission edge cases -----------------------------------------
+// --- same-timestamp cohorts -----------------------------------------------
 //
-// schedule() stages events in a small buffer (flushed at 64, or before any
-// dequeue); these tests straddle that boundary on purpose: ties that span
-// staged and admitted cohorts, cancels that hit the staging buffer, and
-// calendar-year rollover with a cohort still staged.
+// Bursts of events scheduled together, often at one timestamp, as the
+// dispatcher and the run() setup loop produce them: long FIFO tie cohorts,
+// cohorts extended from inside a callback, cancels inside a cohort (each
+// swap-removes a key, so bucket position stops matching schedule order),
+// and calendar-year rollover with whole cohorts scheduled far ahead.
 
 TEST(Simulator, SameTimestampOrderStableAcrossAdmissionBatches) {
-  // 200 events at one timestamp crosses the flush threshold (64) three
-  // times, so the tie cohort is split across staged and admitted storage;
-  // FIFO order must still be exactly schedule order.
+  // 200 events at one timestamp, enough to outgrow the initial bucket ring
+  // and force a calendar rebuild mid-cohort; FIFO order must still be
+  // exactly schedule order.
   Simulator sim;
   std::vector<int> order;
   for (int i = 0; i < 200; ++i) sim.schedule(5.0, [&order, i] { order.push_back(i); });
@@ -252,9 +254,9 @@ TEST(Simulator, SameTimestampOrderStableAcrossAdmissionBatches) {
 }
 
 TEST(Simulator, SameTimestampInterleavedWithEarlierEventStaysStable) {
-  // An earlier event forces a flush + dequeue while a same-time cohort is
-  // only partially staged; later same-time schedules (from inside a
-  // callback, admission-wise "fresh") must still run after earlier ones.
+  // An earlier event runs while a same-time cohort is only half scheduled;
+  // the rest of the cohort, scheduled from inside that callback, must
+  // still run after the earlier half.
   Simulator sim;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) sim.schedule(20.0, [&order, i] { order.push_back(i); });
@@ -267,9 +269,8 @@ TEST(Simulator, SameTimestampInterleavedWithEarlierEventStaysStable) {
 }
 
 TEST(Simulator, CancelStagedEventBeforeAdmission) {
-  // Cancel fires while the event still sits in the staging buffer (no
-  // dequeue has happened since schedule), exercising the sentinel-bucket
-  // swap-remove path; the handle then stays dead.
+  // Cancel the middle of a three-event same-time cohort before anything
+  // has run; the handle then stays dead and its neighbours still run.
   Simulator sim;
   bool ran_a = false;
   bool ran_b = false;
@@ -287,9 +288,8 @@ TEST(Simulator, CancelStagedEventBeforeAdmission) {
 }
 
 TEST(Simulator, CancelStagedMiddleOfBatchKeepsCohortOrder) {
-  // Swap-remove inside the staging buffer moves the *last* staged entry
-  // into the cancelled hole; execution order must still follow seq, not
-  // staging position.
+  // Each cancel swap-removes its key, moving the bucket's *last* entry into
+  // the hole; execution order must still follow seq, not bucket position.
   Simulator sim;
   std::vector<int> order;
   std::vector<EventHandle> handles;
@@ -304,7 +304,7 @@ TEST(Simulator, CancelStagedMiddleOfBatchKeepsCohortOrder) {
 TEST(Simulator, EpochRolloverWithStagedCohort) {
   // Events far enough apart that the calendar's year (bucket ring ×
   // width) must roll over repeatedly, scheduled in bursts so whole cohorts
-  // are staged together while the cursor sits in a much earlier year.
+  // land many years ahead of the cursor.
   Simulator sim;
   double last = -1.0;
   bool monotone = true;
@@ -316,7 +316,7 @@ TEST(Simulator, EpochRolloverWithStagedCohort) {
   };
   // Burst 1: a dense cluster near t=0 (fills the initial 16-bucket ring).
   for (int i = 0; i < 48; ++i) sim.schedule(0.5 * i, probe);
-  // Burst 2: same-size cohort many "years" out, staged in one batch.
+  // Burst 2: same-size cohort many "years" out.
   for (int i = 0; i < 48; ++i) sim.schedule(100'000.0 + 0.25 * i, probe);
   // Burst 3: between the two, scheduled after — admission order ≠ time order.
   for (int i = 0; i < 48; ++i) sim.schedule(5'000.0 + 1.0 * i, probe);
@@ -324,6 +324,64 @@ TEST(Simulator, EpochRolloverWithStagedCohort) {
   EXPECT_TRUE(monotone);
   EXPECT_EQ(executed_in_order, 144u);
   EXPECT_DOUBLE_EQ(sim.now(), 100'000.0 + 0.25 * 47);
+}
+
+// --- runUntil horizon boundary ---------------------------------------------
+//
+// runUntil() finds the earliest event once and either runs it (time <=
+// horizon) or stops with it still pending; these pin both sides of that
+// decision across consecutive calls.
+
+TEST(Simulator, CallbackSchedulingAtHorizonRunsInSameCall) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(2.0, [&] {
+    order.push_back(1);
+    sim.schedule(5.0, [&] { order.push_back(2); });  // exactly the horizon
+  });
+  EXPECT_EQ(sim.runUntil(5.0), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.pendingCount(), 0u);
+  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
+}
+
+TEST(Simulator, EventJustPastHorizonStaysPendingThenRunsFirst) {
+  Simulator sim;
+  std::vector<int> order;
+  const double past = std::nextafter(5.0, 6.0);
+  sim.schedule(past, [&] { order.push_back(1); });
+  sim.schedule(4.0, [&] { order.push_back(0); });
+  EXPECT_EQ(sim.runUntil(5.0), 1u);
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  EXPECT_EQ(sim.pendingCount(), 1u);
+  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
+  sim.schedule(7.0, [&] { order.push_back(2); });
+  EXPECT_EQ(sim.runUntil(10.0), 2u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Simulator, SameTimeTiesStraddlingRunUntilCallsKeepFifo) {
+  Simulator sim;
+  std::vector<int> order;
+  for (int i = 0; i < 3; ++i) sim.schedule(8.0, [&order, i] { order.push_back(i); });
+  EXPECT_EQ(sim.runUntil(7.5), 0u);  // stops on the cohort, runs none of it
+  for (int i = 3; i < 6; ++i) sim.schedule(8.0, [&order, i] { order.push_back(i); });
+  EXPECT_EQ(sim.runUntil(8.0), 6u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(Simulator, CancelBoundaryEventBetweenRunUntilCalls) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(1.0, [&] { order.push_back(0); });
+  const EventHandle boundary = sim.schedule(3.0, [&] { order.push_back(1); });
+  sim.schedule(3.0, [&] { order.push_back(2); });
+  EXPECT_EQ(sim.runUntil(2.0), 1u);  // stopped with `boundary` the earliest
+  EXPECT_TRUE(sim.cancel(boundary));
+  EXPECT_FALSE(sim.cancel(boundary));
+  EXPECT_EQ(sim.pendingCount(), 1u);
+  EXPECT_EQ(sim.runUntil(3.0), 1u);
+  EXPECT_EQ(order, (std::vector<int>{0, 2}));
 }
 
 TEST(Simulator, ManyEventsStressOrdering) {

@@ -121,5 +121,22 @@ TEST(StealBound, Fig12BurstStealsStayUnderEnvelope) {
                           static_cast<double>(m.steals) * c.steal_penalty_us);
 }
 
+// A thief keeps the jobs of its batch beyond the first in its own queue,
+// where another idle processor can steal them again, so stolen_jobs counts
+// job migrations, not distinct jobs. On the bursty transport-friendly
+// workload it exceeds every packet that ever arrived, which only repeat
+// thefts of the same jobs can produce. The envelope above takes this count:
+// each migration is one more chance to pay a cold reload.
+TEST(StealBound, StolenJobsCountsMigrationsNotDistinctJobs) {
+  SimConfig c = defaultSimConfig();
+  c.seed = 1;
+  c.policy.locking = LockingPolicy::kStealAffinity;
+  c.dispatch = net::NicDispatchMode::kTransportFriendly;
+  setAutoWindow(c, 0.03, 40'000);
+  const RunMetrics m = runOnce(c, ExecTimeModel::standard(), makeBatchStreams(16, 0.03, 8.0));
+  ASSERT_GT(m.steals, 0u);
+  EXPECT_GT(m.stolen_jobs, m.arrived) << m.steals << " steals";
+}
+
 }  // namespace
 }  // namespace affinity

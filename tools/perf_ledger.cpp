@@ -10,9 +10,16 @@
 // IPS), and the disabled trace-guard overhead. The ledger stays a valid
 // JSON array after every append (src/obs/ledger.hpp), so the perf
 // trajectory across PRs is one file per day of runs.
+//
+// Before appending, the new row's throughput keys are checked against the
+// earlier rows of every BENCH_*.json beside the output file (same mode and
+// host_cores); each key that fell past the noise band prints a
+// `REGRESSION: <key> <new> vs <baseline>` line (obs::findRegressions).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,6 +49,31 @@ std::string todayIso() {
   char buf[16];
   std::strftime(buf, sizeof buf, "%Y-%m-%d", &tm);
   return buf;
+}
+
+// Earlier ledger rows, oldest first: every BENCH_<date>.json beside
+// `out_path` (ISO dates sort chronologically by name), then `out_path`
+// itself, the file this run appends to.
+std::vector<obs::LedgerRow> loadHistory(const std::string& out_path) {
+  namespace fs = std::filesystem;
+  const fs::path out(out_path);
+  const fs::path dir = out.has_parent_path() ? out.parent_path() : fs::path(".");
+  const std::string out_name = out.filename().string();
+  std::vector<std::string> names;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("BENCH_") && name.ends_with(".json") && name != out_name)
+      names.push_back(name);
+  }
+  std::sort(names.begin(), names.end());
+  names.push_back(out_name);
+  std::vector<obs::LedgerRow> rows;
+  for (const std::string& name : names) {
+    std::vector<obs::LedgerRow> file_rows = obs::readLedgerRows((dir / name).string());
+    rows.insert(rows.end(), file_rows.begin(), file_rows.end());
+  }
+  return rows;
 }
 
 double wallSecondsSince(std::chrono::steady_clock::time_point t0) {
@@ -249,6 +281,8 @@ int main(int argc, char** argv) {
         cap_ips.max_rate_per_us * 1e6, fig12_tfn_vs_fdir_delay_ratio);
   }
 
+  const std::vector<obs::Regression> regressions =
+      obs::findRegressions(loadHistory(path), obs::parseLedgerRow(row));
   if (!obs::appendLedgerRow(path, row)) {
     std::fprintf(stderr, "perf_ledger: could not write %s\n", path.c_str());
     return 1;
@@ -271,6 +305,8 @@ int main(int argc, char** argv) {
               fig12_tfn_vs_fdir_delay_ratio, tfn_m.mean_delay_us, fdir_m.mean_delay_us,
               static_cast<unsigned long long>(fdir_m.flow_migrations),
               static_cast<unsigned long long>(tfn_m.tfn_applied));
+  for (const obs::Regression& r : regressions)
+    std::printf("%s\n", obs::formatRegression(r).c_str());
   std::printf("appended row %zu to %s\n", obs::ledgerRowCount(path), path.c_str());
   return 0;
 }
