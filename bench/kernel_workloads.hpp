@@ -69,9 +69,12 @@ inline double kernelSecondsSince(std::chrono::steady_clock::time_point t0) {
 }
 
 // Steady-state schedule+run: hold `depth` pending events; each iteration
-// pops the earliest and schedules a replacement. Returns events/sec.
+// pops the earliest and schedules a replacement. With `sentinel_at` > 0 one
+// more event is scheduled at that absolute time before the run starts.
+// Returns events/sec.
 template <class Sim, class Payload = KernelPayload>
-double benchHold(std::uint64_t n, std::size_t depth, std::uint64_t seed, Payload payload = {}) {
+double benchHold(std::uint64_t n, std::size_t depth, std::uint64_t seed, Payload payload = {},
+                 double sentinel_at = 0.0) {
   Sim sim;
   Rng rng(seed);
   std::uint64_t sink = 0;
@@ -81,6 +84,8 @@ double benchHold(std::uint64_t n, std::size_t depth, std::uint64_t seed, Payload
   payload.c = 3.75;
   payload.d = 5.0;
   for (std::size_t i = 0; i < depth; ++i) sim.schedule(rng.uniform(0.0, 1000.0), payload);
+  const bool sentinel = sentinel_at > 0.0;
+  if (sentinel) sim.schedule(sentinel_at, payload);
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < n; ++i) {
     sim.step();
@@ -88,9 +93,21 @@ double benchHold(std::uint64_t n, std::size_t depth, std::uint64_t seed, Payload
   }
   const double dt = kernelSecondsSince(t0);
   sim.runAll();
-  AFF_CHECK(sim.executedCount() == n + depth);
+  AFF_CHECK(sim.executedCount() == n + depth + (sentinel ? 1 : 0));
   AFF_CHECK(sink != 0);
   return static_cast<double>(n) / dt;
+}
+
+// The hold workload plus one event pending 1e7 µs out: the shape of the
+// protocol simulation's start-up control events (the warm-up reset and the
+// mid-window backlog sample) over its steady population. A calendar that
+// sized its window width from the full span of pending times would put the
+// whole population in one window here, and every pop would scan all of it.
+inline constexpr double kSentinelUs = 1e7;
+
+template <class Sim>
+double benchHoldSentinel(std::uint64_t n, std::size_t depth, std::uint64_t seed) {
+  return benchHold<Sim>(n, depth, seed, KernelPayload{}, kSentinelUs);
 }
 
 // Timer churn: the retransmit-timer pattern — most timers are cancelled
@@ -161,10 +178,9 @@ double benchChain(std::uint64_t n, std::uint64_t /*seed*/) {
 
 // Batched same-timestamp admission: the dispatcher pattern — a burst of
 // `batch` events lands at one virtual instant, then the queue drains before
-// the next burst. With batch >= the kernel's admission-batch size the
-// staged cohort crosses the flush boundary every phase, so this isolates
-// the SoA batched-insert path against the seed kernel's one-at-a-time
-// heap pushes. Returns events/sec.
+// the next burst. Every pop then picks the FIFO-first of an equal-time
+// cohort in one calendar window, against the seed kernel's heap pushes and
+// pops. Returns events/sec.
 template <class Sim>
 double benchBatchAdmit(std::uint64_t n, std::size_t batch, std::uint64_t seed) {
   Sim sim;

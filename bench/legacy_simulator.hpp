@@ -4,7 +4,8 @@
 // allocated per event, std::unordered_set lazy cancellation, binary
 // std::priority_queue), kept verbatim under namespace legacy so
 // sim_kernel_bench can report the current kernel's speedup against it on
-// the same machine and workload. Not linked anywhere else.
+// the same machine and workload, and so tests/sim_test can check the
+// current kernel's event order against it.
 #pragma once
 
 #include <cstdint>

@@ -53,6 +53,10 @@ int main(int argc, char** argv) {
       [&](std::uint64_t s) { return benchHold<Simulator>(n, 64, s); },
       [&](std::uint64_t s) { return benchHold<legacy::Simulator>(n, 64, s); });
   run(
+      "hold64_sentinel",
+      [&](std::uint64_t s) { return benchHoldSentinel<Simulator>(n, 64, s); },
+      [&](std::uint64_t s) { return benchHoldSentinel<legacy::Simulator>(n, 64, s); });
+  run(
       "hold4096_schedule_run",
       [&](std::uint64_t s) { return benchHold<Simulator>(n, 4096, s); },
       [&](std::uint64_t s) { return benchHold<legacy::Simulator>(n, 4096, s); });

@@ -1,10 +1,24 @@
 #include "cache/exec_time.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/check.hpp"
 
 namespace affinity {
+namespace {
+
+/// f(a), f(b), f(c), calling f once per distinct age (in that order).
+template <typename F>
+auto perDistinctAge(double a, double b, double c, F f) {
+  using R = decltype(f(a));
+  const R fa = f(a);
+  const R fb = b == a ? fa : f(b);
+  const R fc = c == a ? fa : c == b ? fb : f(c);
+  return std::array<R, 3>{fa, fb, fc};
+}
+
+}  // namespace
 
 ExecTimeModel::ExecTimeModel(FlushModel flush, ReloadParams reload, FootprintShares shares)
     : flush_(flush), kind_(CacheModelKind::kSst), reload_(reload), shares_(shares) {
@@ -40,9 +54,7 @@ double ExecTimeModel::f2At(double age_us) const noexcept {
 double ExecTimeModel::f3At(double age_us) const noexcept {
   if (reload_.dl3_us <= 0.0 || age_us <= 0.0) return 0.0;
   if (age_us == kColdAge) return 1.0;
-  if (kind_ == CacheModelKind::kReuse) return rd_->f3(age_us);
-  const double procs = rd_ ? rd_->coRunners() : 1.0;
-  return flush_.f3(age_us, procs);
+  return kind_ == CacheModelKind::kSst ? flush_.f3(age_us) : rd_->f3(age_us);
 }
 
 double ExecTimeModel::reload(double age_us) const noexcept {
@@ -55,12 +67,20 @@ double ExecTimeModel::reload(double age_us) const noexcept {
 
 ExecTimeModel::ServiceParts ExecTimeModel::serviceParts(
     const CacheStateAges& ages) const noexcept {
-  const double l1 = shares_.l1_code * f1At(ages.code) +
-                    shares_.l1_shared * f1At(ages.shared) +
-                    shares_.l1_stream * f1At(ages.stream);
-  const double l2 = shares_.l2_code * f2At(ages.code) +
-                    shares_.l2_shared * f2At(ages.shared) +
-                    shares_.l2_stream * f2At(ages.stream);
+  // Components often share an age (code and shared stack data are touched
+  // by the same packets), and F(x) is a pure function of the age, so each
+  // distinct age is evaluated once. The sums keep the per-component order,
+  // so the result is bit-identical to evaluating every component.
+  struct F12 {
+    double f1, f2;
+  };
+  const auto [code, shared, stream] = perDistinctAge(
+      ages.code, ages.shared, ages.stream,
+      [this](double age) { return F12{f1At(age), f2At(age)}; });
+  const double l1 = shares_.l1_code * code.f1 + shares_.l1_shared * shared.f1 +
+                    shares_.l1_stream * stream.f1;
+  const double l2 = shares_.l2_code * code.f2 + shares_.l2_shared * shared.f2 +
+                    shares_.l2_stream * stream.f2;
   double l3 = 0.0;
   if (reload_.dl3_us > 0.0) {
     // The shared LLC doesn't care which processor last touched a component:
@@ -68,12 +88,11 @@ ExecTimeModel::ServiceParts ExecTimeModel::serviceParts(
     // still an upper bound on warmth (a component re-referenced here was
     // re-referenced somewhere), so take the min — with the default
     // *_any == kColdAge this degrades to the local age.
-    const double code_age = std::min(ages.code, ages.code_any);
-    const double shared_age = std::min(ages.shared, ages.shared_any);
-    const double stream_age = std::min(ages.stream, ages.stream_any);
+    const auto [code3, shared3, stream3] = perDistinctAge(
+        std::min(ages.code, ages.code_any), std::min(ages.shared, ages.shared_any),
+        std::min(ages.stream, ages.stream_any), [this](double age) { return f3At(age); });
     // Reuse the L2 share split: the same components refill through the LLC.
-    l3 = shares_.l2_code * f3At(code_age) + shares_.l2_shared * f3At(shared_age) +
-         shares_.l2_stream * f3At(stream_age);
+    l3 = shares_.l2_code * code3 + shares_.l2_shared * shared3 + shares_.l2_stream * stream3;
   }
   return ServiceParts{reload_.t_warm_us, l1 * reload_.dl1_us, l2 * reload_.dl2_us,
                       l3 * reload_.dl3_us};

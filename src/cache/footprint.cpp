@@ -1,18 +1,6 @@
 #include "cache/footprint.hpp"
 
-#include <cmath>
-
 namespace affinity {
-
-double uniqueLines(const SstParams& p, double refs, double line_bytes) noexcept {
-  if (refs <= 1.0) return refs > 0.0 ? refs : 0.0;
-  const double logL = std::log10(line_bytes);
-  const double logR = std::log10(refs);
-  // u = W * L^a * R^b * 10^(log_d * logL * logR)
-  const double log_u = std::log10(p.W) + p.a * logL + p.b * logR + p.log_d * logL * logR;
-  const double u = std::pow(10.0, log_u);
-  return u > refs ? refs : u;
-}
 
 double refsForUniqueLines(const SstParams& p, double lines, double line_bytes) noexcept {
   if (lines <= 0.0) return 0.0;

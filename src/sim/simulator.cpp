@@ -124,14 +124,28 @@ void Simulator::rebuild() {
   std::vector<Key> keys;
   keys.reserve(live_);
   for (const Bucket& b : buckets_) keys.insert(keys.end(), b.begin(), b.end());
-  // Width: ~2 events per window on average, so a dequeue scans O(1) entries
-  // and an empty-window rotation is rare. Any value is *correct* (ordering
-  // is exact on (at, seq)); this only tunes scan lengths.
+  // Width: ~2 events per window, so a dequeue scans O(1) entries and an
+  // empty-window rotation is rare. Any value is *correct* (ordering is
+  // exact on (at, seq)); this only tunes scan lengths. The spacing comes
+  // from the nearer half of the pending keys, not their full span: one
+  // far-future event (a warm-up reset or end-of-window sample scheduled at
+  // start-up) would otherwise stretch the width until every live event
+  // shares one window and each pop scans them all. If the nearer half is a
+  // single timestamp (a same-time cohort), fall back to the full span.
   double w = width_;
   if (keys.size() > 1) {
-    const auto [lo, hi] = std::minmax_element(
-        keys.begin(), keys.end(), [](const Key& a, const Key& b) { return a.at < b.at; });
-    if (hi->at > lo->at) w = (hi->at - lo->at) * 2.0 / static_cast<double>(keys.size());
+    const auto earlier = [](const Key& a, const Key& b) { return a.at < b.at; };
+    const std::size_t k = keys.size() / 2;
+    const auto kth = keys.begin() + static_cast<std::ptrdiff_t>(k);
+    std::nth_element(keys.begin(), kth, keys.end(), earlier);
+    const double lo = std::min_element(keys.begin(), kth, earlier)->at;
+    const double mid = kth->at;
+    if (mid > lo) {
+      w = (mid - lo) * 2.0 / static_cast<double>(k);
+    } else {
+      const double hi = std::max_element(keys.begin(), keys.end(), earlier)->at;
+      if (hi > lo) w = (hi - lo) * 2.0 / static_cast<double>(keys.size());
+    }
   }
   if (!(w > 1e-9)) w = 1e-9;  // all-simultaneous events: keep windows finite
   // ~2 events per bucket: two 32-byte keys share a cache line, and half the

@@ -28,7 +28,9 @@
 //     window has arrived; runUntil() pops that minimum if it is within the
 //     horizon and stops otherwise, so each event costs one scan. Bucket
 //     count and width retune from the live event population (on growth and
-//     on empty-year rotations), so both operations are O(1) amortized.
+//     on empty-year rotations), so both operations are O(1) amortized. The
+//     width comes from the spacing of the nearer half of the pending
+//     events, so a few far-future control events cannot stretch it.
 //     Structure-of-arrays buckets and a staged, batched admission buffer
 //     were both measured slower than this layout (README, "Performance
 //     harness").
@@ -214,7 +216,8 @@ class Simulator {
 
   void initBuckets(std::size_t nbuckets, double width);
   /// Re-buckets every pending key with a bucket count sized to the live
-  /// population and a width retuned to its time span. Called on growth and
+  /// population and a width retuned to the spacing of its nearer half
+  /// (its full span if that half is one timestamp). Called on growth and
   /// on empty-year rotations (cheap and rare; amortized O(1) per event).
   void rebuild();
 

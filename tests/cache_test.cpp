@@ -4,7 +4,9 @@
 // flushed much more slowly than L1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "cache/exec_time.hpp"
 #include "cache/flush.hpp"
@@ -141,6 +143,77 @@ TEST(FlushModel, ZeroAtZeroGap) {
   EXPECT_DOUBLE_EQ(fm.f2(0.0), 0.0);
 }
 
+// Bit-exactness of the precomputed per-level constants. Two references:
+// the single-call wrappers fractionDisplaced(uniqueLines(...)), and the
+// expanded formulas written out term by term (paper eq. 2 and the Appendix
+// set-occupancy forms), so a reordering of the shared curve that changes
+// rounding shows up here rather than as a drift in the golden figures.
+double expandedUniqueLines(const SstParams& p, double refs, double line_bytes) {
+  if (refs <= 1.0) return refs > 0.0 ? refs : 0.0;
+  const double logL = std::log10(line_bytes);
+  const double logR = std::log10(refs);
+  const double log_u = std::log10(p.W) + p.a * logL + p.b * logR + p.log_d * logL * logR;
+  const double u = std::pow(10.0, log_u);
+  return u > refs ? refs : u;
+}
+
+double expandedFraction(double u, double sets, unsigned assoc) {
+  if (u <= 0.0) return 0.0;
+  if (assoc == 1) return 1.0 - std::exp(u * std::log1p(-1.0 / sets));
+  const double lambda = u / sets;
+  double pmf = std::exp(-lambda);
+  double cdf = pmf;
+  double expected = 0.0;
+  for (unsigned k = 1; k <= assoc; ++k) {
+    expected += 1.0 - cdf;
+    pmf *= lambda / static_cast<double>(k);
+    cdf += pmf;
+  }
+  const double f = expected / static_cast<double>(assoc);
+  return f > 1.0 ? 1.0 : f;
+}
+
+/// Log-spaced ages from 1e-3 to 1e8 µs, 16 per decade.
+std::vector<double> ageSweep() {
+  std::vector<double> xs;
+  for (int i = 0; i <= 16 * 11; ++i) xs.push_back(std::pow(10.0, -3.0 + i / 16.0));
+  return xs;
+}
+
+void expectFlushLevelsBitExact(const MachineParams& m) {
+  const SstParams sst = SstParams::mvsWorkload();
+  const FlushModel fm(m, sst);
+  const auto level = [&](const CacheLevelParams& c, double refs) {
+    const double wrapped = fractionDisplaced(uniqueLines(sst, refs, c.line_bytes),
+                                             static_cast<double>(c.sets()), c.associativity);
+    const double expanded =
+        expandedFraction(expandedUniqueLines(sst, refs, c.line_bytes),
+                         static_cast<double>(c.sets()), c.associativity);
+    EXPECT_EQ(wrapped, expanded) << "refs=" << refs;
+    return wrapped;
+  };
+  for (const double x : ageSweep()) {
+    const double refs = x * m.refsPerMicrosecond();
+    EXPECT_EQ(fm.f1(x), level(m.l1d, refs * (1.0 - m.ifetch_fraction))) << "x=" << x;
+    EXPECT_EQ(fm.f2(x), level(m.l2, refs)) << "x=" << x;
+    if (m.llc.size_bytes > 0) {
+      EXPECT_EQ(fm.f3(x), level(m.llc, refs)) << "x=" << x;
+    } else {
+      EXPECT_EQ(fm.f3(x), 0.0);
+    }
+  }
+}
+
+TEST(FlushModel, LevelsBitExactDirectMapped) {
+  // Direct-mapped L1/L2, no LLC: the binomial closed form.
+  expectFlushLevelsBitExact(MachineParams::sgiChallenge());
+}
+
+TEST(FlushModel, LevelsBitExactSetAssociativeWithLlc) {
+  // 8/16-way private levels and the 16-way shared LLC: the Poisson path.
+  expectFlushLevelsBitExact(MachineParams::modern2020());
+}
+
 // ------------------------------------------------------------ exec time ---
 
 TEST(ExecTime, PaperColdTime) {
@@ -199,6 +272,55 @@ TEST(ExecTime, SendSideIsCheaper) {
   const ReloadParams send = ReloadParams::measuredUdpSend();
   EXPECT_LT(send.t_warm_us, recv.t_warm_us);
   EXPECT_LT(send.tCold(), recv.tCold());
+}
+
+// serviceParts evaluates each distinct component age once. It must equal
+// three independent per-component evaluations bit for bit, whichever ages
+// coincide: every combination of equal, unequal, zero and cold ages.
+void expectServicePartsMatchPerComponent(const ExecTimeModel& m, bool with_any) {
+  const std::vector<double> values = {0.0, 5.0, 37.5, 1200.0, kColdAge};
+  const std::vector<double> any_values = with_any ? values : std::vector<double>{kColdAge};
+  const FootprintShares& s = m.shares();
+  const ReloadParams& r = m.reloadParams();
+  int combos = 0;
+  for (const double code : values)
+    for (const double shared : values)
+      for (const double stream : values)
+        for (const double code_any : any_values)
+          for (const double shared_any : any_values)
+            for (const double stream_any : any_values) {
+              const CacheStateAges a{code, shared, stream, code_any, shared_any, stream_any};
+              const double l1 = s.l1_code * m.f1At(a.code) + s.l1_shared * m.f1At(a.shared) +
+                                s.l1_stream * m.f1At(a.stream);
+              const double l2 = s.l2_code * m.f2At(a.code) + s.l2_shared * m.f2At(a.shared) +
+                                s.l2_stream * m.f2At(a.stream);
+              double l3 = 0.0;
+              if (r.dl3_us > 0.0) {
+                l3 = s.l2_code * m.f3At(std::min(a.code, a.code_any)) +
+                     s.l2_shared * m.f3At(std::min(a.shared, a.shared_any)) +
+                     s.l2_stream * m.f3At(std::min(a.stream, a.stream_any));
+              }
+              const ExecTimeModel::ServiceParts p = m.serviceParts(a);
+              ASSERT_EQ(p.base, r.t_warm_us);
+              ASSERT_EQ(p.l1, l1 * r.dl1_us) << code << " " << shared << " " << stream;
+              ASSERT_EQ(p.l2, l2 * r.dl2_us) << code << " " << shared << " " << stream;
+              ASSERT_EQ(p.l3, l3 * r.dl3_us) << code_any << " " << shared_any << " "
+                                             << stream_any;
+              ++combos;
+            }
+  EXPECT_EQ(combos, with_any ? 15625 : 125);
+}
+
+TEST(ExecTime, ServicePartsMatchPerComponentEvaluation) {
+  expectServicePartsMatchPerComponent(ExecTimeModel::standard(), false);
+}
+
+TEST(ExecTime, ServicePartsMatchPerComponentEvaluationWithSharedLlc) {
+  const ExecTimeModel m(FlushModel(MachineParams::modern2020(), SstParams::mvsWorkload()),
+                        ReloadParams::measuredUdpReceive().splitForSharedLlc(),
+                        FootprintShares{});
+  ASSERT_GT(m.reloadParams().dl3_us, 0.0);
+  expectServicePartsMatchPerComponent(m, true);
 }
 
 }  // namespace

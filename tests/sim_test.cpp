@@ -1,5 +1,6 @@
 // Tests for src/sim: event ordering, FIFO tie-breaks, cancellation,
-// horizons, and re-entrant scheduling.
+// horizons, re-entrant scheduling, and order against the frozen seed kernel
+// (bench/legacy_simulator.hpp) with far-future events pending.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -7,6 +8,7 @@
 #include <functional>
 #include <vector>
 
+#include "bench/legacy_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -382,6 +384,85 @@ TEST(Simulator, CancelBoundaryEventBetweenRunUntilCalls) {
   EXPECT_EQ(sim.pendingCount(), 1u);
   EXPECT_EQ(sim.runUntil(3.0), 1u);
   EXPECT_EQ(order, (std::vector<int>{0, 2}));
+}
+
+// --- far-future events and the calendar width --------------------------
+//
+// The calendar sizes its window width from the spacing of the nearer half
+// of the pending events, so one event far in the future (a warm-up reset or
+// an end-of-window sample) cannot stretch it. Width only tunes scan
+// lengths; these pin that the order stays exactly (at, seq), matching the
+// seed kernel, with such an event pending.
+
+struct Popped {
+  int id;
+  double at;
+  bool operator==(const Popped&) const = default;
+};
+
+/// A steady population of `depth` events with integer-µs times (so ties
+/// occur), one sentinel (id -1) at `sentinel_at`, `steps` pop-and-replace
+/// iterations, then a drain. Returns the pops in order.
+template <class Sim>
+std::vector<Popped> steadyWithSentinel(int depth, int steps, double sentinel_at) {
+  Sim sim;
+  Rng rng(77);
+  std::vector<Popped> popped;
+  int next_id = 0;
+  const auto add = [&](double at) {
+    const int id = next_id++;
+    sim.schedule(at, [&popped, &sim, id] { popped.push_back({id, sim.now()}); });
+  };
+  for (int i = 0; i < depth; ++i) add(std::floor(rng.uniform(0.0, 1000.0)));
+  sim.schedule(sentinel_at, [&popped, &sim] { popped.push_back({-1, sim.now()}); });
+  for (int i = 0; i < steps; ++i) {
+    sim.step();
+    add(sim.now() + std::floor(rng.uniform(0.0, 1000.0)));
+  }
+  sim.runAll();
+  return popped;
+}
+
+TEST(Simulator, FarFutureSentinelOverSteadyPopulationKeepsExactOrder) {
+  constexpr double kSentinelAt = 1e7;
+  const auto got = steadyWithSentinel<Simulator>(64, 20'000, kSentinelAt);
+  const auto want = steadyWithSentinel<legacy::Simulator>(64, 20'000, kSentinelAt);
+  ASSERT_EQ(got.size(), 64u + 20'000u + 1u);
+  EXPECT_EQ(got, want);
+  // The population never reaches the sentinel's time, so it runs last.
+  EXPECT_EQ(got.back(), (Popped{-1, kSentinelAt}));
+}
+
+/// Same-timestamp cohorts of `batch` events, each drained with runUntil,
+/// with a sentinel pending far out: the nearer half of the pending events
+/// is one timestamp, so the width falls back to the full span.
+template <class Sim>
+std::vector<Popped> cohortsWithSentinel(int phases, int batch, double sentinel_at) {
+  Sim sim;
+  Rng rng(5);
+  std::vector<Popped> popped;
+  sim.schedule(sentinel_at, [&popped, &sim] { popped.push_back({-1, sim.now()}); });
+  int next_id = 0;
+  for (int p = 0; p < phases; ++p) {
+    const double at = sim.now() + rng.uniform(1.0, 2.0);
+    for (int i = 0; i < batch; ++i) {
+      const int id = next_id++;
+      sim.schedule(at, [&popped, &sim, id] { popped.push_back({id, sim.now()}); });
+    }
+    sim.runUntil(at);
+  }
+  sim.runAll();
+  return popped;
+}
+
+TEST(Simulator, SameTimeCohortsWithFarFutureSentinelKeepFifo) {
+  constexpr double kSentinelAt = 1e7;
+  const auto got = cohortsWithSentinel<Simulator>(200, 64, kSentinelAt);
+  ASSERT_EQ(got.size(), 200u * 64u + 1u);
+  // Every cohort runs in schedule order (ids ascend), before the sentinel.
+  for (std::size_t i = 0; i + 1 < got.size(); ++i) EXPECT_EQ(got[i].id, static_cast<int>(i));
+  EXPECT_EQ(got.back(), (Popped{-1, kSentinelAt}));
+  EXPECT_EQ(got, (cohortsWithSentinel<legacy::Simulator>(200, 64, kSentinelAt)));
 }
 
 TEST(Simulator, ManyEventsStressOrdering) {

@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   const auto streams = makePoissonStreams(16, 0.03);
 
   // 1) Event-kernel hot path, current vs frozen seed kernel.
-  KernelResult hold, churn, chain, batch;
+  KernelResult hold, hold_sentinel, churn, chain, batch;
   double guard_pct = 0.0;
   double sim_pkts_per_wall_s = 0.0;
   if (!parallel_only) {
@@ -110,6 +110,10 @@ int main(int argc, char** argv) {
     hold = measureKernelPair(
         "hold64", reps, [&](std::uint64_t s) { return benchHold<Simulator>(n, 64, s); },
         [&](std::uint64_t s) { return benchHold<legacy::Simulator>(n, 64, s); });
+    hold_sentinel = measureKernelPair(
+        "hold64_sentinel", reps,
+        [&](std::uint64_t s) { return benchHoldSentinel<Simulator>(n, 64, s); },
+        [&](std::uint64_t s) { return benchHoldSentinel<legacy::Simulator>(n, 64, s); });
     churn = measureKernelPair(
         "churn", reps, [&](std::uint64_t s) { return benchChurn<Simulator>(n, 256, s); },
         [&](std::uint64_t s) { return benchChurn<legacy::Simulator>(n, 256, s); });
@@ -262,6 +266,7 @@ int main(int argc, char** argv) {
         row, sizeof row,
         "{\"date\": \"%s\", \"mode\": \"%s\", \"host_cores\": %u, "
         "\"kernel_hold64_eps\": %.0f, \"kernel_hold64_speedup\": %.3f, "
+        "\"kernel_hold64_sentinel_eps\": %.0f, \"kernel_hold64_sentinel_speedup\": %.3f, "
         "\"kernel_churn_ops\": %.0f, \"kernel_churn_speedup\": %.3f, "
         "\"kernel_chain_eps\": %.0f, \"kernel_chain_speedup\": %.3f, "
         "\"kernel_batch_admit_eps\": %.0f, \"kernel_batch_admit_speedup\": %.3f, "
@@ -274,9 +279,10 @@ int main(int argc, char** argv) {
         "\"capacity_locking_pkts_per_s\": %.0f, \"capacity_ips_pkts_per_s\": %.0f, "
         "\"fig12_tfn_vs_fdir_delay_ratio\": %.3f}",
         day.c_str(), full ? "full" : "fast", host_cores, hold.new_eps, hold.speedup(),
-        churn.new_eps, churn.speedup(), chain.new_eps, chain.speedup(), batch.new_eps,
-        batch.speedup(), guard_pct, sim_pkts_per_wall_s, sim_serial_ips_pkts_per_wall_s,
-        sim_parallel_pkts_per_wall_s, pinfo.shards, pinfo.parallel ? "true" : "false",
+        hold_sentinel.new_eps, hold_sentinel.speedup(), churn.new_eps, churn.speedup(),
+        chain.new_eps, chain.speedup(), batch.new_eps, batch.speedup(), guard_pct,
+        sim_pkts_per_wall_s, sim_serial_ips_pkts_per_wall_s, sim_parallel_pkts_per_wall_s,
+        pinfo.shards, pinfo.parallel ? "true" : "false",
         arena_alloc_calls_per_frame, cap_locking.max_rate_per_us * 1e6,
         cap_ips.max_rate_per_us * 1e6, fig12_tfn_vs_fdir_delay_ratio);
   }
@@ -288,9 +294,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!parallel_only) {
-    std::printf("kernel hold64 %.2f Mev/s (%.2fx seed)  churn %.2f Mops/s (%.2fx)  "
-                "chain %.2f Mev/s (%.2fx)  batch_admit %.2f Mev/s (%.2fx)\n",
-                hold.new_eps / 1e6, hold.speedup(), churn.new_eps / 1e6, churn.speedup(),
+    std::printf("kernel hold64 %.2f Mev/s (%.2fx seed)  hold64_sentinel %.2f Mev/s (%.2fx)  "
+                "churn %.2f Mops/s (%.2fx)  chain %.2f Mev/s (%.2fx)  "
+                "batch_admit %.2f Mev/s (%.2fx)\n",
+                hold.new_eps / 1e6, hold.speedup(), hold_sentinel.new_eps / 1e6,
+                hold_sentinel.speedup(), churn.new_eps / 1e6, churn.speedup(),
                 chain.new_eps / 1e6, chain.speedup(), batch.new_eps / 1e6, batch.speedup());
     std::printf("trace guard %.3f%%  sim %.0f pkts/wall-s  capacity locking %.0f / ips %.0f pkts/s\n",
                 guard_pct, sim_pkts_per_wall_s, cap_locking.max_rate_per_us * 1e6,
