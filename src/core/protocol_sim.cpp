@@ -60,7 +60,8 @@ void ProtocolSim::initObservability() {
   auto& reg = *config_.metrics;
   hooks_.arrived = &reg.counter("sim.packets.arrived");
   hooks_.completed = &reg.counter("sim.packets.completed");
-  hooks_.delay = &reg.histogram("sim.delay_us");
+  hooks_.delay =
+      &reg.histogram("sim.delay_us", kDelayHistMinUs, kDelayHistDecades, kDelayHistPerDecade);
   hooks_.service = &reg.meanStat("sim.service_us");
   hooks_.lock_wait = &reg.meanStat("sim.lock_wait_us");
   hooks_.l1_warm = &reg.meanStat("sim.affinity.l1_warm_fraction");
@@ -95,25 +96,15 @@ void ProtocolSim::initObservability() {
 }
 
 void ProtocolSim::noteProcQueue(unsigned proc, int delta) noexcept {
-  if (!obs_on_) return;
-  const double now = sim_.now();
-  proc_queue_tw_[proc].adjust(now, delta);
-  if (!hooks_.proc_queue.empty()) hooks_.proc_queue[proc]->adjust(now, delta);
+  if (obs_on_) proc_queue_tw_[proc].adjust(sim_.now(), delta);
 }
 
 void ProtocolSim::noteGlobalQueue(int delta) noexcept {
-  if (!obs_on_) return;
-  const double now = sim_.now();
-  global_queue_tw_.adjust(now, delta);
-  if (hooks_.global_queue != nullptr) hooks_.global_queue->adjust(now, delta);
+  if (obs_on_) global_queue_tw_.adjust(sim_.now(), delta);
 }
 
 bool ProtocolSim::usesLocking(std::uint32_t stream) const noexcept {
   return uses_locking_[stream] != 0;
-}
-
-std::uint32_t ProtocolSim::stackOf(std::uint32_t stream) const noexcept {
-  return stream % config_.effectiveStacks();
 }
 
 std::uint64_t ProtocolSim::backlogNow() const noexcept {
@@ -212,10 +203,10 @@ int ProtocolSim::chooseIdleForLocking(std::uint32_t stream) {
     case LockingPolicy::kStreamMru: {
       const int lp = affinity_.lastProcOfStream(stream);
       if (lp >= 0 && proc_idle_[lp]) {
-        if (obs_on_) hooks_.stream_mru_hit->inc();
+        ++stream_mru_hit_;
         return lp;
       }
-      if (obs_on_) hooks_.stream_mru_fallback->inc();
+      ++stream_mru_fallback_;
       return mruIdleProc();
     }
     case LockingPolicy::kWiredStreams:
@@ -237,10 +228,10 @@ int ProtocolSim::chooseIdleForStack(std::uint32_t stack) {
       if (idle_count_ == 0) return -1;
       const int lp = affinity_.lastProcOfStack(stack);
       if (lp >= 0 && proc_idle_[lp]) {
-        if (obs_on_) hooks_.ips_mru_hit->inc();
+        ++ips_mru_hit_;
         return lp;
       }
-      if (obs_on_) hooks_.ips_mru_fallback->inc();
+      ++ips_mru_fallback_;
       return mruIdleProc();
     }
   }
@@ -249,20 +240,18 @@ int ProtocolSim::chooseIdleForStack(std::uint32_t stack) {
 
 void ProtocolSim::arrivePacket(std::uint32_t stream) {
   ++arrived_;
-  if (obs_on_) hooks_.arrived->inc();
   if (flow_table_ != nullptr) {
     // Charge the bounded flow table before any scheduling decision. The sim
-    // is single-threaded and consumes state synchronously, so the in-flight
-    // count is released immediately — the table here models *state*
-    // retention, not frame custody (the runtime engines do both).
-    const auto r = flow_table_->admit(stream);
+    // is single-threaded and consumes state synchronously, so it admits
+    // without frame custody — the table here models *state* retention, not
+    // frame custody (the runtime engines do both).
+    const auto r = flow_table_->admitState(stream);
     if (r.status == flow::AdmitResult::Status::kShed) {
       // Refused outright: the packet never enters a queue. Conservation
       // extends to arrived == completed + backlog + flow_shed.
       ++flow_shed_;
       return;
     }
-    flow_table_->release(stream, r.gen);
     if (r.evicted && r.victim_key != flow::AdmitResult::kNoVictim) {
       // The victim's per-flow state is gone: its next packet pays the full
       // cold-reload transient wherever it lands.
@@ -389,9 +378,9 @@ void ProtocolSim::startService(unsigned proc, const Job& job, double extra_us) {
     // Warm fraction per level: how much of the full reload transient this
     // packet did NOT pay (1 = perfectly warm, 0 = fully cold/migrated).
     const auto& rp = model_.reloadParams();
-    hooks_.l1_warm->add(1.0 - parts.l1 / rp.dl1_us);
-    hooks_.l2_warm->add(1.0 - parts.l2 / rp.dl2_us);
-    if (hooks_.l3_warm != nullptr) hooks_.l3_warm->add(1.0 - parts.l3 / rp.dl3_us);
+    l1_warm_.add(1.0 - parts.l1 / rp.dl1_us);
+    l2_warm_.add(1.0 - parts.l2 / rp.dl2_us);
+    if (rp.dl3_us > 0.0) l3_warm_.add(1.0 - parts.l3 / rp.dl3_us);
     proc_busy_tw_[proc].set(now, 1.0);
   }
   if (job.stolen && inMeasureWindow()) {
@@ -545,10 +534,6 @@ bool ProtocolSim::trySteal(unsigned thief) {
       std::min<std::size_t>(std::max<unsigned>(config_.steal_batch, 1), vq.size());
   ++steals_;
   stolen_jobs_ += take;
-  if (obs_on_) {
-    hooks_.steal_count->inc();
-    hooks_.steal_jobs->inc(take);
-  }
   // FlowDirector's pin follows the theft immediately (packet-triggered
   // update — the pathology). TransportFriendly learns only from the thief's
   // *completions* (onComplete feedback), so the steal itself must not touch
@@ -613,12 +598,6 @@ void ProtocolSim::onComplete(unsigned proc, const Job& job, double lock_wait, do
     if (config_.per_stream_stats) per_stream_delay_[job.stream].add(delay);
     if (shard_mode_) {
       shard_ops_.push_back(ShardOp{ShardOp::Kind::kCompletion, now, delay, exec, lock_wait});
-    }
-    if (obs_on_) {
-      hooks_.completed->inc();
-      hooks_.delay->add(delay);
-      hooks_.service->add(exec);
-      hooks_.lock_wait->add(lock_wait);
     }
   }
 
@@ -767,7 +746,31 @@ RunMetrics ProtocolSim::finishRun() {
   return m;
 }
 
+namespace {
+
+void publishMean(obs::MeanStat& dst, const OnlineStats& s) noexcept {
+  dst.merge(s.count(), s.sum(), s.min(), s.max());
+}
+
+}  // namespace
+
 void ProtocolSim::exportRunMetrics(const RunMetrics& m) {
+  // Everything the run accumulated single-writer, published once.
+  hooks_.arrived->inc(arrived_);
+  hooks_.completed->inc(completed_);
+  hooks_.delay->merge(delay_hist_);
+  publishMean(*hooks_.service, service_);
+  publishMean(*hooks_.lock_wait, lock_wait_);
+  publishMean(*hooks_.l1_warm, l1_warm_);
+  publishMean(*hooks_.l2_warm, l2_warm_);
+  if (hooks_.l3_warm != nullptr) publishMean(*hooks_.l3_warm, l3_warm_);
+  hooks_.stream_mru_hit->inc(stream_mru_hit_);
+  hooks_.stream_mru_fallback->inc(stream_mru_fallback_);
+  hooks_.ips_mru_hit->inc(ips_mru_hit_);
+  hooks_.ips_mru_fallback->inc(ips_mru_fallback_);
+  hooks_.steal_count->inc(steals_);
+  hooks_.steal_jobs->inc(stolen_jobs_);
+
   auto& reg = *config_.metrics;
   reg.counter("sim.run.count").inc();
   if (m.saturated) reg.counter("sim.run.saturated").inc();
@@ -806,13 +809,14 @@ void ProtocolSim::exportRunMetrics(const RunMetrics& m) {
   }
   for (unsigned p = 0; p < config_.num_procs; ++p) {
     const std::string base = "sim.proc." + std::to_string(p);
-    reg.meanStat(base + ".queue_depth_avg").add(proc_queue_tw_[p].average(end_time_));
+    proc_queue_tw_[p].finalize(end_time_);
+    reg.meanStat(base + ".queue_depth_avg").add(proc_queue_tw_[p].average());
     reg.meanStat(base + ".busy_frac").add(proc_busy_tw_[p].average(end_time_));
   }
   if (config_.metrics_exclusive) {
-    for (auto* tw : hooks_.proc_queue) tw->finalize(end_time_);
-    if (hooks_.global_queue != nullptr) hooks_.global_queue->finalize(end_time_);
-    reg.timeWeighted("sim.queue.global_depth");  // ensure present even if never pushed
+    for (unsigned p = 0; p < config_.num_procs; ++p) *hooks_.proc_queue[p] = proc_queue_tw_[p];
+    global_queue_tw_.finalize(end_time_);
+    *hooks_.global_queue = global_queue_tw_;
   }
 }
 

@@ -92,16 +92,17 @@ struct SimConfig {
   SimObserver* observer = nullptr;
 
   // --- observability (docs/OBSERVABILITY.md) -------------------------------
-  /// Optional metrics registry (not owned). Only thread-safe instruments
-  /// (counters, means, histograms) are written unless `metrics_exclusive`
-  /// is set, so one registry may be shared by parallel sweep points — the
-  /// streaming stats then aggregate across every point that ran. Purely
-  /// observational: enabling it changes no simulation result (guarded by
-  /// determinism_test).
+  /// Optional metrics registry (not owned). The run writes it once, when
+  /// it ends; a snapshot taken mid-run shows none of that run. Only
+  /// thread-safe instruments (counters, means, histograms) are written
+  /// unless `metrics_exclusive` is set, so one registry may be shared by
+  /// parallel sweep points — the streaming stats then aggregate across
+  /// every point that ran. Purely observational: enabling it changes no
+  /// simulation result (guarded by determinism_test).
   obs::MetricsRegistry* metrics = nullptr;
   /// Promise that this sim is the registry's only concurrent writer; the
-  /// sim then additionally registers single-writer time-weighted
-  /// instruments (live per-processor queue depth / busy level). Set by
+  /// sim then additionally publishes single-writer time-weighted
+  /// instruments (per-processor and global queue depth). Set by
   /// single-run tools (tools/affinity_sim), never by parallel sweeps.
   bool metrics_exclusive = false;
   /// Optional trace session (not owned): per-processor service spans and
@@ -251,10 +252,8 @@ class ProtocolSim {
 
   // --- paradigm helpers ---
   [[nodiscard]] bool usesLocking(std::uint32_t stream) const noexcept;
-  [[nodiscard]] std::uint32_t stackOf(std::uint32_t stream) const noexcept;
 
   // --- dispatch ---
-  void onArrival(std::uint32_t stream);
   void arrivePacket(std::uint32_t stream);
   /// `extra_us` is added to the execution time (the steal penalty).
   void startService(unsigned proc, const Job& job, double extra_us = 0.0);
@@ -353,14 +352,18 @@ class ProtocolSim {
   OnlineStats service_;
   OnlineStats lock_wait_;
   BatchMeans delay_batches_{500};
-  Histogram delay_hist_{0.1, 8, 32};
+  // The delay histogram's geometry, shared by the registry's sim.delay_us
+  // so the end-of-run publish is a bucket-for-bucket merge.
+  static constexpr double kDelayHistMinUs = 0.1;
+  static constexpr int kDelayHistDecades = 8;
+  static constexpr int kDelayHistPerDecade = 32;
+  Histogram delay_hist_{kDelayHistMinUs, kDelayHistDecades, kDelayHistPerDecade};
   TimeWeighted busy_procs_;
   TimeWeighted queue_len_;
   std::uint64_t arrived_ = 0;
   std::uint64_t completed_ = 0;        ///< completions inside the window
   std::uint64_t completed_total_ = 0;  ///< all completions (conservation)
   std::uint64_t backlog_mid_ = 0;
-  bool mid_recorded_ = false;
   std::vector<OnlineStats> per_stream_delay_;
   bool ran_ = false;
 
@@ -369,8 +372,17 @@ class ProtocolSim {
   std::vector<std::uint8_t> owned_stream_;  ///< stream -> owned by this shard
   std::vector<ShardOp> shard_ops_;          ///< commit log, execution order
 
-  // Observability plumbing (resolved once in initObservability; hot paths
-  // test obs_on_ / the individual pointers, never the registry map).
+  // Observability. The sim is a single writer: hot paths update only the
+  // plain members below, and exportRunMetrics publishes everything into
+  // the registry once, at the end of the run, through the instrument
+  // pointers resolved in initObservability.
+  OnlineStats l1_warm_;  ///< per-packet warm fractions (obs_on_ only)
+  OnlineStats l2_warm_;
+  OnlineStats l3_warm_;  ///< shared-LLC topologies only (ΔL3 > 0)
+  std::uint64_t stream_mru_hit_ = 0;
+  std::uint64_t stream_mru_fallback_ = 0;
+  std::uint64_t ips_mru_hit_ = 0;
+  std::uint64_t ips_mru_fallback_ = 0;
   struct ObsHooks {
     obs::Counter* arrived = nullptr;
     obs::Counter* completed = nullptr;
@@ -386,16 +398,18 @@ class ProtocolSim {
     obs::Counter* ips_mru_fallback = nullptr;
     obs::Counter* steal_count = nullptr;
     obs::Counter* steal_jobs = nullptr;
-    // metrics_exclusive only (single-writer live levels):
+    // metrics_exclusive only (single-writer time-weighted levels):
     std::vector<obs::TimeWeightedStat*> proc_queue;
     obs::TimeWeightedStat* global_queue = nullptr;
   };
   ObsHooks hooks_;
   bool obs_on_ = false;
   // Internal per-processor integrals (always safe; exported as averages).
-  std::vector<TimeWeighted> proc_queue_tw_;
+  // The queue-depth ones are obs::TimeWeightedStat so metrics_exclusive
+  // runs can publish them whole (average, last and max level).
+  std::vector<obs::TimeWeightedStat> proc_queue_tw_;
   std::vector<TimeWeighted> proc_busy_tw_;
-  TimeWeighted global_queue_tw_;
+  obs::TimeWeightedStat global_queue_tw_;
   // Trace tracks (one per processor + one control track).
   std::vector<std::uint32_t> trace_tracks_;
   std::uint32_t trace_ctl_track_ = 0;

@@ -108,7 +108,8 @@ void FlowTable::updateShedLatch() {
   }
 }
 
-AdmitResult FlowTable::admit(std::uint32_t key, bool shed_pressure) {
+AdmitResult FlowTable::admitFrames(std::uint32_t key, bool shed_pressure,
+                                    std::uint32_t frames) {
   AdmitResult result;
   if (!config_.enabled) return result;
 
@@ -130,7 +131,7 @@ AdmitResult FlowTable::admit(std::uint32_t key, bool shed_pressure) {
     if (e.key == key) {
       // Established flow: never shed, just stamp recency and count the frame.
       e.last_admit = sh.tick;
-      ++e.inflight;
+      e.inflight += frames;
       ++sh.hits;
       result.gen = e.gen;
       return result;
@@ -187,7 +188,7 @@ AdmitResult FlowTable::admit(std::uint32_t key, bool shed_pressure) {
 
   Entry& e = sh.slots[slot];
   e.key = key;
-  e.inflight = 1;
+  e.inflight = frames;
   e.gen = sh.next_gen++;
   e.last_admit = sh.tick;
   ++sh.inserts;

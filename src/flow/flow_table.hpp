@@ -28,7 +28,9 @@
 // can observe (insert, evict, recency stamp, occupancy) happens on the
 // admit path only. release() touches nothing but the in-flight counter,
 // which no victim choice reads — so a single submit thread yields
-// bit-identical eviction/shed ledgers regardless of worker count.
+// bit-identical eviction/shed ledgers regardless of worker count. For the
+// same reason admitState() (admit without frame custody) leaves every
+// ledger exactly as admit()+release() would.
 #pragma once
 
 #include <array>
@@ -152,7 +154,19 @@ class FlowTable {
   /// `shed_pressure`), the flow is NOT already established, and the seeded
   /// tiebreak selects it. On kAdmitted the per-flow in-flight count is
   /// incremented and `gen` must travel with the frame.
-  AdmitResult admit(std::uint32_t key, bool shed_pressure = false);
+  AdmitResult admit(std::uint32_t key, bool shed_pressure = false) {
+    return admitFrames(key, shed_pressure, 1);
+  }
+
+  /// Admits `key`'s flow state without taking custody of a frame: the same
+  /// probe, insert, evict, shed and recency stamp as admit(), in one
+  /// critical section, but no in-flight reference is taken, so there is
+  /// nothing to release(). Equivalent to admit() followed at once by
+  /// release() on the returned generation; the simulator uses it because
+  /// it consumes each packet's flow state synchronously.
+  AdmitResult admitState(std::uint32_t key, bool shed_pressure = false) {
+    return admitFrames(key, shed_pressure, 0);
+  }
 
   /// Releases one in-flight frame for `key` at generation `gen`. Returns
   /// true when the entry still exists at that generation (count
@@ -201,6 +215,9 @@ class FlowTable {
   [[nodiscard]] std::uint32_t shardOf(std::uint64_t h) const {
     return static_cast<std::uint32_t>(h & (num_shards_ - 1));
   }
+  /// admit()'s body: `frames` (0 or 1) is the in-flight reference the
+  /// admitted entry gains, the only difference between the two callers.
+  AdmitResult admitFrames(std::uint32_t key, bool shed_pressure, std::uint32_t frames);
   /// True when this new-flow admission should be shed (tiebreak applied).
   [[nodiscard]] bool shedSelects(std::uint32_t key) const;
   /// Updates the occupancy hysteresis latch after occupancy changed.

@@ -179,7 +179,7 @@ const std::map<std::string, std::set<std::string>>& layerDeps() {
       {"util", {}},
       {"net", {"util"}},
       {"stats", {"util"}},
-      {"obs", {"util"}},
+      {"obs", {"stats", "util"}},
       {"sim", {"util"}},
       {"cache", {"util"}},
       {"proto", {"util"}},

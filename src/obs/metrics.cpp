@@ -32,17 +32,15 @@ void atomicMax(std::atomic<double>& a, double x) noexcept {
 
 // ---------------------------------------------------------------- MeanStat
 
-void MeanStat::add(double x) noexcept {
-  // First sample seeds min/max; racing first samples both run the CAS loops,
-  // so the extrema stay correct either way.
-  if (count_.fetch_add(1, std::memory_order_relaxed) == 0) {
-    min_.store(x, std::memory_order_relaxed);
-    max_.store(x, std::memory_order_relaxed);
-  } else {
-    atomicMin(min_, x);
-    atomicMax(max_, x);
-  }
-  atomicAdd(sum_, x);
+void MeanStat::merge(std::uint64_t count, double sum, double min, double max) noexcept {
+  if (count == 0) return;
+  // Extrema start at +/-inf, so racing first samples need no seeding step.
+  // The count is published last (release): a reader that sees it nonzero
+  // (acquire) also sees finite extrema.
+  atomicMin(min_, min);
+  atomicMax(max_, max);
+  atomicAdd(sum_, sum);
+  count_.fetch_add(count, std::memory_order_release);
 }
 
 double MeanStat::mean() const noexcept {
@@ -50,8 +48,12 @@ double MeanStat::mean() const noexcept {
   return n == 0 ? 0.0 : sum_.load(std::memory_order_relaxed) / static_cast<double>(n);
 }
 
-double MeanStat::min() const noexcept { return min_.load(std::memory_order_relaxed); }
-double MeanStat::max() const noexcept { return max_.load(std::memory_order_relaxed); }
+double MeanStat::min() const noexcept {
+  return count_.load(std::memory_order_acquire) == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
+}
+double MeanStat::max() const noexcept {
+  return count_.load(std::memory_order_acquire) == 0 ? 0.0 : max_.load(std::memory_order_relaxed);
+}
 
 // -------------------------------------------------------- TimeWeightedStat
 
@@ -96,6 +98,18 @@ void LatencyHisto::add(double x) noexcept {
     return;
   }
   buckets_[idx].fetch_add(1, std::memory_order_relaxed);
+}
+
+void LatencyHisto::merge(const Histogram& h) {
+  AFF_CHECK(buckets_.size() == h.buckets().size());
+  AFF_CHECK(min_value_ == h.minValue() && log_step_ == h.logStep());
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    if (h.buckets()[i] != 0) buckets_[i].fetch_add(h.buckets()[i], std::memory_order_relaxed);
+  }
+  underflow_.fetch_add(h.underflow(), std::memory_order_relaxed);
+  overflow_.fetch_add(h.overflow(), std::memory_order_relaxed);
+  total_.fetch_add(h.count(), std::memory_order_relaxed);
+  atomicAdd(sum_, h.sum());
 }
 
 double LatencyHisto::bucketLow(std::size_t i) const noexcept {

@@ -6,8 +6,10 @@
 //
 //   * hot-path updates from concurrent threads (engine workers, parallel
 //     sweep points): Counter / Gauge / MeanStat / LatencyHisto update with
-//     relaxed atomics only — no locks, no allocation, wait-free except for
-//     the bounded CAS loops on double accumulators;
+//     relaxed atomics (MeanStat publishes its count with release) — no
+//     locks, no allocation, wait-free except for the bounded CAS loops on
+//     double accumulators. Single writers such as the simulator publish a
+//     whole run at once through MeanStat::merge / LatencyHisto::merge;
 //   * single-writer simulated-time integrals (queue depths, busy
 //     processors): TimeWeightedStat, plain fields, owned by one simulation.
 //
@@ -26,11 +28,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "stats/histogram.hpp"
 #include "util/mutex.hpp"
 
 namespace affinity::obs {
@@ -65,7 +69,11 @@ class Gauge {
 /// Streaming mean/min/max over added samples (no per-sample storage).
 class MeanStat {
  public:
-  void add(double x) noexcept;
+  void add(double x) noexcept { merge(1, x, x, x); }
+  /// Folds in `count` samples summarised elsewhere (their sum and
+  /// extrema), e.g. a single-writer accumulator published once at the end
+  /// of a run. Safe against concurrent add()/merge(); count 0 is a no-op.
+  void merge(std::uint64_t count, double sum, double min, double max) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
@@ -77,8 +85,8 @@ class MeanStat {
  private:
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /// Time average of a piecewise-constant signal (queue depth, busy workers).
@@ -115,6 +123,10 @@ class LatencyHisto {
   LatencyHisto(double min_value, int decades, int buckets_per_decade);
 
   void add(double x) noexcept;
+  /// Adds every sample of a single-writer histogram of identical geometry
+  /// (aborts on a mismatch). Safe against concurrent add()/merge(), so
+  /// parallel sweep points can publish into one shared instrument.
+  void merge(const Histogram& h);
 
   struct Snapshot {
     std::uint64_t count = 0;

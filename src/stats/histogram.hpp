@@ -37,6 +37,14 @@ class Histogram {
   /// combine per-worker histograms; aborts on mismatched configuration).
   void merge(const Histogram& other);
 
+  // Geometry and raw counts, for publishing into a histogram of the same
+  // geometry elsewhere (obs::LatencyHisto::merge).
+  [[nodiscard]] double minValue() const noexcept { return min_value_; }
+  [[nodiscard]] double logStep() const noexcept { return log_step_; }
+  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const noexcept { return buckets_; }
+  [[nodiscard]] std::uint64_t underflow() const noexcept { return underflow_; }
+  [[nodiscard]] double sum() const noexcept { return sum_; }
+
  private:
   [[nodiscard]] double bucketLow(std::size_t i) const noexcept;
 

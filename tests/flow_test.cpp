@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "flow/flow_table.hpp"
+#include "util/rng.hpp"
 
 namespace affinity::flow {
 namespace {
@@ -176,6 +177,61 @@ TEST(FlowTableRelease, StaleGenerationAfterReinsertionIsRejected) {
   ASSERT_NE(second.gen, first.gen);
   EXPECT_FALSE(t.release(3, first.gen));  // old frame: orphaned
   EXPECT_TRUE(t.release(3, second.gen));  // new frame: fine
+}
+
+// admitState() is admit()+release() in one critical section: twin tables
+// fed the same seeded key sequence, one through each path, must agree on
+// every AdmitResult and on the final ledger. The sequence is sized to force
+// evictions and both kinds of shedding (occupancy latch and external
+// pressure) under every policy, so no branch of the shared body is skipped.
+TEST(FlowTableAdmitState, MatchesAdmitThenReleaseUnderEveryPolicy) {
+  for (const auto policy :
+       {EvictPolicy::kLru, EvictPolicy::kFifo, EvictPolicy::kRandom, EvictPolicy::kDirect}) {
+    FlowTableConfig cfg;
+    cfg.budget_bytes = 64 * 24;
+    cfg.shards = 4;
+    cfg.policy = policy;
+    cfg.shed_enabled = true;
+    cfg.shed_high_water = 0.6;
+    cfg.shed_low_water = 0.4;
+    cfg.shed_admit_fraction = 0.5;
+    FlowTable state_only(cfg);
+    FlowTable admit_release(cfg);
+    Rng keys(0xd1ff + static_cast<std::uint64_t>(policy));
+    for (int i = 0; i < 20'000; ++i) {
+      // A hot set of 48 flows plus a churning tail of 400.
+      const auto key = static_cast<std::uint32_t>(
+          keys.uniform_u64(4) == 0 ? 1000 + keys.uniform_u64(400) : keys.uniform_u64(48));
+      const bool pressure = keys.uniform_u64(16) == 0;
+      const AdmitResult a = state_only.admitState(key, pressure);
+      const AdmitResult b = admit_release.admit(key, pressure);
+      if (b.status == AdmitResult::Status::kAdmitted) {
+        ASSERT_TRUE(admit_release.release(key, b.gen));
+      }
+      ASSERT_EQ(a.status, b.status) << evictPolicyName(policy) << " step " << i;
+      ASSERT_EQ(a.inserted, b.inserted) << evictPolicyName(policy) << " step " << i;
+      ASSERT_EQ(a.evicted, b.evicted) << evictPolicyName(policy) << " step " << i;
+      ASSERT_EQ(a.gen, b.gen) << evictPolicyName(policy) << " step " << i;
+      ASSERT_EQ(a.victim_key, b.victim_key) << evictPolicyName(policy) << " step " << i;
+      ASSERT_EQ(state_only.shedActive(), admit_release.shedActive());
+    }
+    const FlowTableStats sa = state_only.stats();
+    const FlowTableStats sb = admit_release.stats();
+    EXPECT_EQ(sa.inserts, sb.inserts);
+    EXPECT_EQ(sa.hits, sb.hits);
+    EXPECT_EQ(sa.evicted_by_reason, sb.evicted_by_reason);
+    EXPECT_EQ(sa.evicted_inflight, sb.evicted_inflight);
+    EXPECT_EQ(sa.shed, sb.shed);
+    EXPECT_EQ(sa.stale_releases, sb.stale_releases);
+    EXPECT_EQ(sa.occupancy, sb.occupancy);
+    EXPECT_EQ(sa.capacity, sb.capacity);
+    EXPECT_EQ(sa.shed_engaged, sb.shed_engaged);
+    // The sequence exercised what it was built to.
+    EXPECT_GT(sa.evictions(), 0u) << evictPolicyName(policy);
+    EXPECT_GT(sa.shed, 0u) << evictPolicyName(policy);
+    EXPECT_GT(sa.shed_engaged, 0u) << evictPolicyName(policy);
+    EXPECT_EQ(sa.evicted_inflight, 0u);  // nothing is ever left in flight
+  }
 }
 
 TEST(FlowShed, EngagesAtHighWaterAndRefusesOnlyNewFlows) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/sweep_runner.hpp"
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -232,6 +234,66 @@ TEST(Metrics, LatencyHistoOverflowAndUnderflow) {
   const auto s = h.snapshot();
   EXPECT_EQ(s.count, 3u);
   EXPECT_EQ(s.overflow, 1u);
+}
+
+TEST(Metrics, MeanStatMergeMatchesTheSameAdds) {
+  MeanStat added;
+  for (double x : {4.0, 2.0, 6.0, 3.0}) added.add(x);
+  MeanStat merged;
+  merged.merge(0, 0.0, 0.0, 0.0);  // an empty publish is a no-op
+  EXPECT_EQ(merged.count(), 0u);
+  EXPECT_DOUBLE_EQ(merged.min(), 0.0);
+  merged.merge(2, 6.0, 2.0, 4.0);  // {4, 2}
+  merged.merge(2, 9.0, 3.0, 6.0);  // {6, 3}
+  EXPECT_EQ(merged.count(), added.count());
+  EXPECT_DOUBLE_EQ(merged.mean(), added.mean());
+  EXPECT_DOUBLE_EQ(merged.min(), added.min());
+  EXPECT_DOUBLE_EQ(merged.max(), added.max());
+}
+
+TEST(Metrics, MeanStatConcurrentMerges) {
+  MeanStat m;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 1'000;
+  std::vector<std::thread> pool;
+  pool.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t)
+    pool.emplace_back([&m, t] {
+      // Thread t publishes {t*10 + 1, t*10 + 3} (sum t*20 + 4), repeatedly.
+      for (int i = 0; i < kPerThread; ++i) m.merge(2, t * 20.0 + 4.0, t * 10.0 + 1.0, t * 10.0 + 3.0);
+    });
+  for (auto& t : pool) t.join();
+  EXPECT_EQ(m.count(), 2u * kThreads * kPerThread);
+  EXPECT_DOUBLE_EQ(m.mean(), 17.0);  // mean of t*10 + 2 over t = 0..3
+  EXPECT_DOUBLE_EQ(m.min(), 1.0);
+  EXPECT_DOUBLE_EQ(m.max(), 33.0);
+}
+
+TEST(Metrics, LatencyHistoMergeFromHistogramMatchesTheSameAdds) {
+  Histogram single_writer(0.1, 8, 32);
+  LatencyHisto added(0.1, 8, 32);
+  for (double x : {0.01, 0.5, 3.0, 42.0, 42.5, 900.0, 1e9}) {  // under, in range, over
+    single_writer.add(x);
+    added.add(x);
+  }
+  LatencyHisto merged(0.1, 8, 32);
+  merged.merge(single_writer);
+  const auto a = added.snapshot();
+  const auto m = merged.snapshot();
+  EXPECT_EQ(m.count, a.count);
+  EXPECT_EQ(m.overflow, a.overflow);
+  EXPECT_DOUBLE_EQ(m.mean, a.mean);
+  EXPECT_EQ(m.p50, a.p50);
+  EXPECT_EQ(m.p95, a.p95);
+  EXPECT_EQ(m.p99, a.p99);
+}
+
+TEST(MetricsDeathTest, LatencyHistoMergeRejectsOtherGeometry) {
+  const Histogram other_decades(0.1, 9, 32);
+  const Histogram other_floor(0.05, 8, 32);
+  LatencyHisto h(0.1, 8, 32);
+  EXPECT_DEATH(h.merge(other_decades), "CHECK failed");
+  EXPECT_DEATH(h.merge(other_floor), "CHECK failed");
 }
 
 // ---- registry -------------------------------------------------------------
@@ -456,6 +518,140 @@ TEST(Trace, ProtocolSimExportsValidTraceAndMetrics) {
   expectStructurallyValidTrace(text);
   EXPECT_NE(text.find("service"), std::string::npos) << "sim spans must be named";
   fs::remove(path);
+}
+
+// The simulator publishes its registry instruments once, from its own
+// single-writer accumulators, when the run ends. These pin that publish to
+// the run's RunMetrics: exactly for counts, to within one bucket for the
+// delay quantiles (the registry reports a bucket midpoint, RunMetrics an
+// in-bucket interpolation).
+
+const MetricSample& sampleNamed(const std::vector<MetricSample>& snap, const std::string& name) {
+  static const MetricSample kMissing;
+  for (const auto& s : snap) {
+    if (s.name == name) return s;
+  }
+  ADD_FAILURE() << "no metric named " << name;
+  return kMissing;
+}
+
+// Bucket of `v` in the simulator's delay geometry (0.1 µs, 32 per decade).
+int delayBucket(double v) {
+  return static_cast<int>(std::floor((std::log10(v) - std::log10(0.1)) * 32.0));
+}
+
+SimConfig publishConfig(bool steal, std::uint64_t seed) {
+  SimConfig c = defaultSimConfig();  // 8 processors, Locking/MRU
+  c.seed = seed;
+  if (steal) {
+    c.policy.locking = LockingPolicy::kStealAffinity;
+    c.dispatch = net::NicDispatchMode::kTransportFriendly;
+  }
+  setAutoWindow(c, 0.03, 12'000);
+  return c;
+}
+
+StreamSet publishStreams(bool steal) {
+  return steal ? makeBatchStreams(16, 0.03, 8.0) : makePoissonStreams(16, 0.03);
+}
+
+// Sees the registry from inside the run: nothing of it is published yet.
+class MidRunRegistryProbe final : public SimObserver {
+ public:
+  explicit MidRunRegistryProbe(MetricsRegistry& reg)
+      : arrived_(reg.counter("sim.packets.arrived")),
+        completed_(reg.counter("sim.packets.completed")) {}
+  void onServiceStart(unsigned, std::uint32_t, std::uint32_t, double, double, double) override {}
+  void onServiceEnd(unsigned, std::uint32_t, std::uint32_t, double) override {
+    ++calls;
+    seen += arrived_.value() + completed_.value();
+  }
+  std::uint64_t calls = 0;
+  std::uint64_t seen = 0;
+
+ private:
+  Counter& arrived_;
+  Counter& completed_;
+};
+
+void expectRegistryMatches(const MetricsRegistry& reg, const RunMetrics& m, const char* what) {
+  SCOPED_TRACE(what);
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(sampleNamed(snap, "sim.packets.arrived").count, m.arrived);
+  EXPECT_EQ(sampleNamed(snap, "sim.packets.completed").count, m.completed);
+  EXPECT_EQ(sampleNamed(snap, "sim.sched.steal.count").count, m.steals);
+  EXPECT_EQ(sampleNamed(snap, "sim.sched.steal.jobs").count, m.stolen_jobs);
+  const MetricSample& service = sampleNamed(snap, "sim.service_us");
+  EXPECT_EQ(service.count, m.completed);
+  EXPECT_NEAR(service.value, m.mean_service_us, 1e-9 * m.mean_service_us);
+  const MetricSample& delay = sampleNamed(snap, "sim.delay_us");
+  EXPECT_EQ(delay.count, m.completed);
+  EXPECT_EQ(delay.overflow, 0u);
+  EXPECT_NEAR(delayBucket(delay.p50), delayBucket(m.p50_delay_us), 1);
+  EXPECT_NEAR(delayBucket(delay.p95), delayBucket(m.p95_delay_us), 1);
+  EXPECT_NEAR(delayBucket(delay.p99), delayBucket(m.p99_delay_us), 1);
+}
+
+TEST(SimPublish, LockingMruRegistryEqualsRunMetrics) {
+  MetricsRegistry reg;
+  MidRunRegistryProbe probe(reg);
+  SimConfig c = publishConfig(/*steal=*/false, 3);
+  c.metrics = &reg;
+  c.observer = &probe;
+  const RunMetrics m = runOnce(c, ExecTimeModel::standard(), publishStreams(false));
+  ASSERT_GT(m.completed, 10'000u);
+  EXPECT_GT(probe.calls, m.completed);
+  EXPECT_EQ(probe.seen, 0u) << "sim.* must not be written before the run ends";
+  expectRegistryMatches(reg, m, "locking/mru");
+  const auto snap = reg.snapshot();
+  EXPECT_GT(sampleNamed(snap, "sim.affinity.l2_warm_fraction").count, m.completed);
+}
+
+TEST(SimPublish, StealAffinityTfnRegistryEqualsRunMetrics) {
+  MetricsRegistry reg;
+  SimConfig c = publishConfig(/*steal=*/true, 5);
+  c.metrics = &reg;
+  c.metrics_exclusive = true;
+  const RunMetrics m = runOnce(c, ExecTimeModel::standard(), publishStreams(true));
+  ASSERT_GT(m.completed, 10'000u);
+  ASSERT_GT(m.steals, 0u);
+  expectRegistryMatches(reg, m, "steal-affinity/tfn");
+  // The exclusive-mode queue integrals are published whole, once.
+  const auto snap = reg.snapshot();
+  EXPECT_GT(sampleNamed(snap, "sim.proc.0.queue_depth").max, 0.0);
+  EXPECT_NEAR(sampleNamed(snap, "sim.proc.0.queue_depth").value,
+              sampleNamed(snap, "sim.proc.0.queue_depth_avg").value, 1e-12);
+}
+
+TEST(SimPublish, SharedRegistrySweepSumsEveryPoint) {
+  constexpr std::size_t kPoints = 8;
+  MetricsRegistry reg;
+  std::vector<SweepPoint> points;
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    const bool steal = i % 2 == 1;
+    SweepPoint p{publishConfig(steal, derivePointSeed(11, i)), publishStreams(steal)};
+    p.config.metrics = &reg;
+    points.push_back(std::move(p));
+  }
+  const auto results = SweepRunner(4).run(ExecTimeModel::standard(), points);
+  ASSERT_EQ(results.size(), kPoints);
+  std::uint64_t arrived = 0, completed = 0, steals = 0, stolen = 0;
+  for (const auto& m : results) {
+    arrived += m.arrived;
+    completed += m.completed;
+    steals += m.steals;
+    stolen += m.stolen_jobs;
+  }
+  const auto snap = reg.snapshot();
+  EXPECT_EQ(sampleNamed(snap, "sim.run.count").count, kPoints);
+  EXPECT_EQ(sampleNamed(snap, "sim.packets.arrived").count, arrived);
+  EXPECT_EQ(sampleNamed(snap, "sim.packets.completed").count, completed);
+  EXPECT_EQ(sampleNamed(snap, "sim.sched.steal.count").count, steals);
+  EXPECT_EQ(sampleNamed(snap, "sim.sched.steal.jobs").count, stolen);
+  EXPECT_EQ(sampleNamed(snap, "sim.service_us").count, completed);
+  EXPECT_EQ(sampleNamed(snap, "sim.lock_wait_us").count, completed);
+  EXPECT_EQ(sampleNamed(snap, "sim.delay_us").count, completed);
+  EXPECT_GT(steals, 0u);
 }
 
 // ---- perf ledger ----------------------------------------------------------
