@@ -2,22 +2,20 @@
 # Benchmark smoke: runs each workload named in BENCHMARK.json for a short
 # window through perfbench/run.py (which builds perfbench/build on first
 # use) and fails unless every run's result line reports "correct": true
-# and "failed": 0. A smoke, not a measurement: 2 s runs are too short to
-# compare speeds.
-# Usage: scripts/run_bench_smoke.sh [workload ...]   (default: all of them)
+# and "failed": 0. A run that fails outright (build error, crash, timeout)
+# counts as a failed workload, and the remaining workloads still run.
+# A smoke, not a measurement: 2 s runs are too short to compare speeds.
+# Usage: scripts/run_bench_smoke.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-if [[ $# -gt 0 ]]; then
-  workloads=("$@")
-else
-  mapfile -t workloads < <(python3 -c \
-    'import json; [print(w["name"]) for w in json.load(open("BENCHMARK.json"))["workloads"]]')
-fi
+mapfile -t workloads < <(python3 -c \
+  'import json; [print(w["name"]) for w in json.load(open("BENCHMARK.json"))["workloads"]]')
 
 status=0
 for w in "${workloads[@]}"; do
-  last=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+  last=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 2 --trace 0 | tail -n 1) \
+    || last='{}'
   echo "$w: $last"
   if ! python3 -c 'import json, sys
 r = json.loads(sys.argv[1])
